@@ -1096,6 +1096,28 @@ mod tests {
     }
 
     #[test]
+    fn fig2_text_is_pinned_at_the_test_corpus() {
+        // Every column, the KDE mode count included, byte for byte.
+        let expected = "\
+AS14593   Starlink subscribers (expected LEO)
+         tests   2284, mass<100ms 0.91, expected-band mass 1.00, modes 1, verdict Consistent
+AS27277   Starlink corporate (planted terrestrial)
+         tests     56, mass<100ms 1.00, expected-band mass 0.00, modes 1, verdict Outlier(\"terrestrial latency profile\")
+AS800     OneWeb (expected LEO)
+         tests    300, mass<100ms 0.16, expected-band mass 0.94, modes 1, verdict Consistent
+AS60725   O3b (expected MEO)
+         tests    300, mass<100ms 0.00, expected-band mass 0.90, modes 2, verdict Consistent
+AS12684   SES hybrid (expected MEO+GEO)
+         tests    208, mass<100ms 0.00, expected-band mass 1.00, modes 3, verdict Consistent
+AS201554  SES anomaly (planted terrestrial)
+         tests     92, mass<100ms 1.00, expected-band mass 0.00, modes 1, verdict Outlier(\"terrestrial latency profile\")
+AS10538   TelAlaska (GEO mixed with wireline)
+         tests    300, mass<100ms 0.38, expected-band mass 0.62, modes 2, verdict MixedWithinAsn(0.38)
+";
+        assert_eq!(run_experiment(ctx(), "fig2").unwrap(), expected);
+    }
+
+    #[test]
     fn unknown_experiment_is_none() {
         assert!(run_experiment(ctx(), "fig99").is_none());
     }
