@@ -350,7 +350,10 @@ impl RecordChunks for DecodeChunks<'_> {
         if self.offset >= self.bytes.len() {
             return None;
         }
-        let mut chunk = Vec::with_capacity(self.chunk_len);
+        // Cap the reservation at the frames left: `chunk_len` is caller
+        // sized and may far exceed the corpus (`1 << 30`, `usize::MAX`).
+        let remaining = (self.bytes.len() - self.offset) / FRAME_LEN;
+        let mut chunk = Vec::with_capacity(self.chunk_len.min(remaining));
         while chunk.len() < self.chunk_len && self.offset + FRAME_LEN <= self.bytes.len() {
             let body = &self.bytes[self.offset + 4..self.offset + FRAME_LEN];
             chunk.push(decode_body(body));
@@ -400,6 +403,22 @@ mod tests {
                 records,
                 "chunk_len {chunk_len}"
             );
+        }
+    }
+
+    #[test]
+    fn oversized_chunk_len_reserves_only_the_remaining_frames() {
+        let records = sample(7);
+        let corpus = encode_records(&records);
+        let mut enc = Encoder::new();
+        enc.extend_records(&records);
+        for chunk_len in [1usize << 30, usize::MAX] {
+            let chunk = corpus.chunks(chunk_len).next_chunk().expect("one chunk");
+            assert_eq!(chunk, records, "chunk_len {chunk_len}");
+            assert!(chunk.capacity() <= records.len(), "chunk_len {chunk_len}");
+            let tail = enc.tail_chunks(5, chunk_len).next_chunk().expect("tail");
+            assert_eq!(tail, records[5..], "chunk_len {chunk_len}");
+            assert!(tail.capacity() <= 2, "chunk_len {chunk_len}");
         }
     }
 
