@@ -8,7 +8,7 @@
 
 use crate::context::ReproContext;
 use sno_core::analysis;
-use sno_core::validate::AsnVerdict;
+use sno_core::validate::{kde_modes, AsnVerdict};
 use sno_types::chunk::RecordChunks as _;
 use sno_types::records::CountryCode;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, Rng};
@@ -238,10 +238,19 @@ fn fig2(ctx: &ReproContext) -> String {
         let Some(p) = report.profiles.iter().find(|p| p.asn == Asn(asn)) else {
             continue;
         };
+        // The mode count is drawn from the KDE here, at the figure edge;
+        // the verdict never reads it.
+        let latencies: Vec<f64> = ctx
+            .mlab()
+            .records
+            .iter()
+            .filter(|r| r.asn == Asn(asn))
+            .map(|r| r.latency_p5.0)
+            .collect();
         let _ = writeln!(
             out,
             "AS{asn:<7} {label}\n         tests {:>6}, mass<100ms {:.2}, expected-band mass {:.2}, modes {}, verdict {:?}",
-            p.tests, p.terrestrial_mass, p.expected_mass, p.modes, p.verdict
+            p.tests, p.terrestrial_mass, p.expected_mass, kde_modes(&latencies), p.verdict
         );
     }
     out

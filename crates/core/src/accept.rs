@@ -79,7 +79,7 @@ impl AsnOps {
 /// What to do with a record from one ASN, given only its latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum AsnRule {
-    /// Unconditionally rejected (KDE outlier verdict).
+    /// Unconditionally rejected (stage-3 outlier verdict).
     Reject,
     /// Unconditionally attributed (LEO: identified at ASN level).
     Accept(Operator),

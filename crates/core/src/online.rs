@@ -9,7 +9,7 @@
 //!
 //! * **Ingest** — each arriving chunk is columnarized and folded into the
 //!   same [`CorpusStats`] accumulator the streamed pipeline uses (per-ASN
-//!   latency buckets for KDE validation, per-`(operator, /24)` buckets
+//!   latency buckets for stage-3 validation, per-`(operator, /24)` buckets
 //!   for the strict filter), appended to a compact codec replay log
 //!   (~52 bytes/record), and tracked in per-operator latency sketches and
 //!   `(timestamp, latency)` buckets for the PoP-change flags. Every
@@ -308,7 +308,7 @@ impl OnlineIdentifier {
     /// Per-ASN profiles validated against the streaming sketches
     /// instead of retained latency buffers — `None` unless
     /// [`OnlineIdentifier::track_asn_sketches`] was enabled. Verdicts
-    /// agree with the buffer-backed KDE stage up to the sketch's bin
+    /// agree with the buffer-backed counted masses up to the sketch's bin
     /// resolution (see `validate::profile_from_sketch`).
     pub fn sketch_profiles(&self) -> Option<Vec<AsnProfile>> {
         let by_asn = self.asn_sketches.as_ref()?;

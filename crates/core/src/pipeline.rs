@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
-    /// Latency bands for the KDE validation stage.
+    /// Latency bands for the band-mass validation stage.
     pub bands: LatencyBands,
     /// Worker threads for the sharded stages (`0` = all cores). The
     /// report is byte-identical at every setting; see `sno_types::par`.
@@ -35,7 +35,7 @@ pub struct Pipeline {
 pub struct PipelineReport {
     /// Stage 1–2 output.
     pub mapping: AsnMapping,
-    /// Stage 3 output: per-ASN KDE profiles and verdicts.
+    /// Stage 3 output: per-ASN band-mass profiles and verdicts.
     pub profiles: Vec<AsnProfile>,
     /// Stage 3b output.
     pub strict: StrictOutcome,
@@ -94,7 +94,7 @@ pub(crate) struct DerivedStages {
 
 /// Incremental stage 3–3c derivation for the online path.
 ///
-/// [`Pipeline::derive_stages`] recomputes every KDE profile and every
+/// [`Pipeline::derive_stages`] recomputes every ASN profile and every
 /// strict prefix bucket from scratch; at snapshot cadence that is the
 /// O(corpus) cost the incremental identifier is built to avoid. The
 /// cache exploits that both stages decompose into pure per-bucket
@@ -311,7 +311,7 @@ impl Pipeline {
     /// they determine (shared between the materialized and streamed
     /// paths).
     pub(crate) fn derive_stages(&self, mapping: &AsnMapping, stats: &CorpusStats) -> DerivedStages {
-        // Stage 3: KDE validation.
+        // Stage 3: band-mass validation.
         let profiles = profiles_from_buckets(mapping, &stats.by_asn, self.bands, self.threads);
         let verdict_of: BTreeMap<_, _> = profiles
             .iter()
@@ -350,7 +350,7 @@ impl Pipeline {
         }
         let access = sno_registry::sources::access_of(op);
         match access {
-            // LEO operators are identified at ASN granularity; the KDE
+            // LEO operators are identified at ASN granularity; the stage-3
             // stage already removed the bad ASNs.
             AccessKind::Satellite(OrbitClass::Leo) => Some(op),
             // The MEO operator likewise, with the regime floor as a

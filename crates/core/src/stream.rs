@@ -9,7 +9,7 @@
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
-//!    (per-ASN latency samples for the KDE stage, per-`(operator, /24)`
+//!    (per-ASN latency samples for stage-3 validation, per-`(operator, /24)`
 //!    samples for the strict filter). Accumulators merge in shard
 //!    order, so every bucket holds its samples in record order —
 //!    byte-identical to the serial bucketing the materialized path
@@ -56,11 +56,11 @@ pub(crate) const REPLAY_CHUNK_LEN: usize = 4096;
 pub struct CorpusStats {
     /// Records observed.
     pub records: usize,
-    /// Per-ASN p5 latencies, in record order (KDE validation input).
+    /// Per-ASN p5 latencies, in record order (stage-3 validation input).
     pub by_asn: BTreeMap<Asn, Vec<f64>>,
     /// Per-`(operator, /24)` samples for non-LEO operators, tagged with
     /// the source ASN so the strict filter can drop outlier ASNs after
-    /// the KDE stage rules (strict-filter input).
+    /// stage 3 rules (strict-filter input).
     pub by_prefix: BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,
 }
 
@@ -268,7 +268,7 @@ impl AcceptBitmap {
 pub struct StreamedReport {
     /// Stage 1–2 output.
     pub mapping: AsnMapping,
-    /// Stage 3 output: per-ASN KDE profiles and verdicts.
+    /// Stage 3 output: per-ASN band-mass profiles and verdicts.
     pub profiles: Vec<AsnProfile>,
     /// Stage 3b output.
     pub strict: StrictOutcome,

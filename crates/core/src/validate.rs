@@ -1,9 +1,13 @@
-//! Stage 3: KDE validation of ASN→SNO mappings.
+//! Stage 3: latency-profile validation of ASN→SNO mappings.
 //!
-//! For every (operator, ASN) with enough speed tests, fit a Gaussian KDE
-//! to the per-session p5 latencies and compare the mass distribution to
-//! the latency regimes the operator's advertised access technology can
-//! produce. The checks reproduce Figure 2's findings:
+//! For every (operator, ASN) with enough speed tests, count the share
+//! of per-session p5 latencies inside each latency regime and compare
+//! it to the regimes the operator's advertised access technology can
+//! produce. The paper reads these regimes off a KDE of each ASN's
+//! latencies (Figure 2); the verdicts here need only the empirical band
+//! masses, so they are counted straight off the bucket and no density
+//! is fitted. The KDE grid only draws Figure 2 ([`kde_modes`]). The
+//! checks reproduce Figure 2's findings:
 //!
 //! * AS27277 (Starlink) has a terrestrial profile → corporate outlier;
 //! * AS201554 (SES) lacks the expected MEO+GEO bimodality → outlier;
@@ -19,7 +23,7 @@ use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
 use std::collections::BTreeMap;
 
-/// Latency bands (ms) per regime, used to interrogate the KDE mass.
+/// Latency bands (ms) per regime, used to interrogate the sample mass.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyBands {
     /// Anything below this is terrestrial-like.
@@ -71,7 +75,9 @@ pub enum AsnVerdict {
     Insufficient,
 }
 
-/// KDE-profile summary for one (operator, ASN).
+/// Latency-profile summary for one (operator, ASN): counted band masses
+/// and the verdict. The Figure 2 KDE mode count is not part of it — see
+/// [`kde_modes`].
 #[derive(Debug, Clone)]
 pub struct AsnProfile {
     pub operator: Operator,
@@ -82,8 +88,6 @@ pub struct AsnProfile {
     pub terrestrial_mass: f64,
     /// Mass inside each expected band of the operator's access kind.
     pub expected_mass: f64,
-    /// Number of KDE modes over the latency grid.
-    pub modes: usize,
     /// The verdict.
     pub verdict: AsnVerdict,
 }
@@ -101,8 +105,8 @@ pub fn validate_asns(
 }
 
 /// [`validate_asns`] with an explicit worker-thread count (`0` = all
-/// cores). Each (operator, ASN) profile is an independent KDE fit, so
-/// the fits fan out across the pool and merge in mapping order — the
+/// cores). Each (operator, ASN) profile is an independent band count,
+/// so the profiles fan out across the pool and merge in mapping order — the
 /// output is identical at every thread count.
 pub fn validate_asns_threaded(
     mapping: &AsnMapping,
@@ -118,11 +122,11 @@ pub fn validate_asns_threaded(
     profiles_from_buckets(mapping, &by_asn, bands, threads)
 }
 
-/// The KDE-fit half of [`validate_asns_threaded`], starting from
+/// The profiling half of [`validate_asns_threaded`], starting from
 /// already-bucketed per-ASN latency samples (each bucket in record
 /// order). This is the entry point for the streaming pipeline, whose
-/// per-chunk accumulators build the buckets incrementally; the fits fan
-/// out across the pool and merge in mapping order.
+/// per-chunk accumulators build the buckets incrementally; the profiles
+/// fan out across the pool and merge in mapping order.
 pub fn profiles_from_buckets(
     mapping: &AsnMapping,
     by_asn: &BTreeMap<Asn, Vec<f64>>,
@@ -141,77 +145,74 @@ pub fn profiles_from_buckets(
     })
 }
 
-/// Validate one ASN's latency sample.
+/// Validate one ASN's latency sample. Band masses are counted straight
+/// off the unsorted bucket (see [`counted_mass`]); no density is fitted.
 pub fn profile_one(
     operator: Operator,
     asn: Asn,
     latencies: &[f64],
     bands: LatencyBands,
 ) -> AsnProfile {
-    let tests = latencies.len();
-    if tests < MIN_TESTS_FOR_VERDICT {
-        return AsnProfile {
-            operator,
-            asn,
-            tests,
-            terrestrial_mass: 0.0,
-            expected_mass: 0.0,
-            modes: 0,
-            verdict: AsnVerdict::Insufficient,
-        };
-    }
-    // `tests >= MIN_TESTS_FOR_VERDICT > 0`, but an unfittable sample is
-    // an Insufficient verdict, not a panic.
-    let Some(kde) = Kde::fit(latencies) else {
-        return AsnProfile {
-            operator,
-            asn,
-            tests,
-            terrestrial_mass: 0.0,
-            expected_mass: 0.0,
-            modes: 0,
-            verdict: AsnVerdict::Insufficient,
-        };
-    };
-    let access = access_of(operator);
-    let terrestrial_mass = kde.mass_in(0.0, bands.terrestrial_max);
-    let expected_mass: f64 = access
-        .orbits()
-        .iter()
-        .map(|&orbit| {
-            let (lo, hi) = bands.band(orbit);
-            kde.mass_in(lo, hi)
-        })
-        .sum();
-    let modes = kde.modes_on_grid(0.0, 1_200.0, 400, 0.2);
+    profile_with(operator, asn, latencies.len(), bands, |lo, hi| {
+        counted_mass(latencies, lo, hi)
+    })
+}
 
-    let verdict = judge(access, expected_mass, |lo, hi| kde.mass_in(lo, hi), bands);
-    AsnProfile {
-        operator,
-        asn,
-        tests,
-        terrestrial_mass,
-        expected_mass,
-        modes,
-        verdict,
+/// Fraction of `latencies` inside `[lo, hi)`: `#{s : lo <= s < hi} / n`.
+///
+/// Bitwise equal to `Kde::fit(latencies).mass_in(lo, hi)` (the sorted
+/// `partition_point` difference) for any `lo <= hi` and every NaN-free
+/// sample, infinities, duplicates and band-edge values included. A NaN
+/// sample counts in no band. (On the sorted path a negative NaN sorts
+/// first and breaks the partition, so its answer there is unspecified.)
+/// Empty input has no mass.
+pub fn counted_mass(latencies: &[f64], lo: f64, hi: f64) -> f64 {
+    if latencies.is_empty() {
+        return 0.0;
     }
+    let inside = latencies.iter().filter(|&&s| lo <= s && s < hi).count();
+    inside as f64 / latencies.len() as f64
+}
+
+/// The KDE mode count Figure 2 prints for one ASN's latencies: the
+/// local maxima of the Gaussian KDE over a 400-point 0–1200 ms grid
+/// that rise above 20% of the peak. `0` below
+/// [`MIN_TESTS_FOR_VERDICT`] samples. Descriptive only — no verdict
+/// rule reads it.
+pub fn kde_modes(latencies: &[f64]) -> usize {
+    if latencies.len() < MIN_TESTS_FOR_VERDICT {
+        return 0;
+    }
+    Kde::fit(latencies).map_or(0, |kde| kde.modes_on_grid(0.0, 1_200.0, 400, 0.2))
 }
 
 /// Validate one ASN from its streaming latency sketch instead of a
 /// retained sample buffer — the online service's buffer-free verdict
 /// path. Band masses come from [`QuantileSketch::mass_in`], whose
 /// per-boundary error is one sketch bin (~0.05% relative), so verdicts
-/// agree with [`profile_one`] except for samples landing *exactly* on a
-/// band edge at bin resolution. `modes` is reported as `0`: the sketch
-/// retains no density estimate, and no verdict rule reads the mode
-/// count — it is descriptive output only.
+/// agree with [`profile_one`]'s counted masses except for samples
+/// landing *exactly* on a band edge at bin resolution.
 pub fn profile_from_sketch(
     operator: Operator,
     asn: Asn,
     sketch: &QuantileSketch,
     bands: LatencyBands,
 ) -> AsnProfile {
-    let tests = sketch.count() as usize;
+    profile_with(operator, asn, sketch.count() as usize, bands, |lo, hi| {
+        sketch.mass_in(lo, hi)
+    })
+}
+
+/// Build a profile from `tests` samples whose band masses `mass_in`
+/// answers: `Insufficient` below [`MIN_TESTS_FOR_VERDICT`], otherwise
+/// the terrestrial and expected-band masses plus [`judge`]'s verdict.
+fn profile_with(
+    operator: Operator,
+    asn: Asn,
+    tests: usize,
+    bands: LatencyBands,
+    mass_in: impl Fn(f64, f64) -> f64,
+) -> AsnProfile {
     if tests < MIN_TESTS_FOR_VERDICT {
         return AsnProfile {
             operator,
@@ -219,39 +220,32 @@ pub fn profile_from_sketch(
             tests,
             terrestrial_mass: 0.0,
             expected_mass: 0.0,
-            modes: 0,
             verdict: AsnVerdict::Insufficient,
         };
     }
     let access = access_of(operator);
-    let terrestrial_mass = sketch.mass_in(0.0, bands.terrestrial_max);
+    let terrestrial_mass = mass_in(0.0, bands.terrestrial_max);
     let expected_mass: f64 = access
         .orbits()
         .iter()
         .map(|&orbit| {
             let (lo, hi) = bands.band(orbit);
-            sketch.mass_in(lo, hi)
+            mass_in(lo, hi)
         })
         .sum();
-    let verdict = judge(
-        access,
-        expected_mass,
-        |lo, hi| sketch.mass_in(lo, hi),
-        bands,
-    );
+    let verdict = judge(access, expected_mass, mass_in, bands);
     AsnProfile {
         operator,
         asn,
         tests,
         terrestrial_mass,
         expected_mass,
-        modes: 0,
         verdict,
     }
 }
 
 /// The verdict rules, abstracted over the band-mass query so the
-/// KDE-backed ([`profile_one`]) and sketch-backed
+/// counted ([`profile_one`]) and sketch-backed
 /// ([`profile_from_sketch`]) paths share one rule set: given the same
 /// masses, they return the same verdict by construction.
 fn judge(
@@ -397,8 +391,8 @@ mod tests {
     }
 
     #[test]
-    fn sketch_profiles_agree_with_kde_profiles() {
-        // The sketch-backed path must reproduce the KDE verdicts on
+    fn sketch_profiles_agree_with_counted_profiles() {
+        // The sketch-backed path must reproduce the counted verdicts on
         // every synthetic profile shape: clean LEO, terrestrial
         // corporate, unimodal hybrid, genuine hybrid, GEO+terrestrial
         // mix, and thin samples.
@@ -451,30 +445,30 @@ mod tests {
             (Operator::Kacific, Asn(135409), vec![600.0; 10]),
         ];
         for (op, asn, latencies) in cases {
-            let kde = profile_one(op, asn, &latencies, bands());
+            let counted = profile_one(op, asn, &latencies, bands());
             let mut sketch = sno_stats::QuantileSketch::new();
             sketch.extend(latencies.iter().copied());
             let sk = profile_from_sketch(op, asn, &sketch, bands());
-            assert_eq!(sk.tests, kde.tests, "{op:?}/{asn:?}");
+            assert_eq!(sk.tests, counted.tests, "{op:?}/{asn:?}");
             assert_eq!(
                 std::mem::discriminant(&sk.verdict),
-                std::mem::discriminant(&kde.verdict),
-                "{op:?}/{asn:?}: sketch {:?} vs kde {:?}",
+                std::mem::discriminant(&counted.verdict),
+                "{op:?}/{asn:?}: sketch {:?} vs counted {:?}",
                 sk.verdict,
-                kde.verdict
+                counted.verdict
             );
             // Band masses agree to sketch-bin resolution.
             assert!(
-                (sk.expected_mass - kde.expected_mass).abs() < 0.01,
+                (sk.expected_mass - counted.expected_mass).abs() < 0.01,
                 "{op:?}/{asn:?}: expected mass {} vs {}",
                 sk.expected_mass,
-                kde.expected_mass
+                counted.expected_mass
             );
             assert!(
-                (sk.terrestrial_mass - kde.terrestrial_mass).abs() < 0.01,
+                (sk.terrestrial_mass - counted.terrestrial_mass).abs() < 0.01,
                 "{op:?}/{asn:?}: terrestrial mass {} vs {}",
                 sk.terrestrial_mass,
-                kde.terrestrial_mass
+                counted.terrestrial_mass
             );
         }
     }
