@@ -145,3 +145,57 @@ fn all_operators_simultaneously_terrestrial_collapses_catalog() {
         "terrestrial-everything must be fully rejected"
     );
 }
+
+/// NaN latencies count in no band: they stay in the test count but add
+/// mass nowhere, so a NaN-only bucket has no mass in any regime and a
+/// NaN mixed into a clean bucket dilutes every band alike. The sign of
+/// the NaN does not matter.
+#[test]
+fn nan_latencies_count_in_no_band() {
+    let bands = LatencyBands::default();
+    for nan in [f64::NAN, -f64::NAN] {
+        let all_nan = vec![nan; 100];
+        let p = profile_one(Operator::Starlink, Asn(14593), &all_nan, bands);
+        assert_eq!(p.tests, 100);
+        assert_eq!((p.terrestrial_mass, p.expected_mass), (0.0, 0.0));
+        assert_eq!(
+            p.verdict,
+            AsnVerdict::Outlier("latency mass outside the advertised regime")
+        );
+        // The MEO+GEO rule fires first for a hybrid operator.
+        let p = profile_one(Operator::Ses, Asn(12684), &all_nan, bands);
+        assert_eq!(
+            p.verdict,
+            AsnVerdict::Outlier("expected bimodal MEO+GEO profile missing")
+        );
+
+        // One NaN in a clean LEO bucket: 99 of 100 samples in band.
+        let mut leo: Vec<f64> = (0..99).map(|i| 45.0 + (i % 20) as f64).collect();
+        leo.insert(40, nan);
+        let p = profile_one(Operator::Starlink, Asn(14593), &leo, bands);
+        assert_eq!(p.tests, 100);
+        assert_eq!(p.expected_mass, 0.99);
+        assert_eq!(p.verdict, AsnVerdict::Consistent);
+
+        // Thirty NaNs in seventy clean samples: the NaNs are foreign mass.
+        let mut diluted: Vec<f64> = (0..70).map(|i| 45.0 + (i % 20) as f64).collect();
+        diluted.extend([nan; 30]);
+        let p = profile_one(Operator::Starlink, Asn(14593), &diluted, bands);
+        assert_eq!(p.expected_mass, 0.7);
+        assert_eq!(p.verdict, AsnVerdict::MixedWithinAsn(1.0 - 0.7));
+    }
+}
+
+#[test]
+fn nan_records_do_not_panic_the_pipeline() {
+    let mut recs: Vec<NdtRecord> = (0..200)
+        .map(|i| record(14593, 45.0 + (i % 20) as f64))
+        .collect();
+    recs.extend((0..50).map(|_| record(13955, f64::NAN)));
+    recs.extend((0..50).map(|_| record(13955, -f64::NAN)));
+    recs.push(record(14593, -f64::NAN));
+    let report = Pipeline::new().run(&recs);
+    assert_eq!(report.accepted.len(), recs.len());
+    // The all-NaN Viasat ASN is an outlier: none of its records pass.
+    assert!(report.accepted[200..300].iter().all(Option::is_none));
+}

@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use sno_check::prelude::*;
+use sno_dissect::core::validate::{counted_mass, LatencyBands};
 use sno_dissect::netsim::path::{PathDynamics, StaticPath, SteppedPath};
 use sno_dissect::netsim::tcp::{TcpConfig, TcpFlow};
 use sno_dissect::stats::{detect_mean_shifts, Ecdf, FiveNumber, Kde};
@@ -329,6 +330,36 @@ proptest! {
         }
     }
 
+    /// Stage 3's counted band masses are bitwise equal to the sorted
+    /// `Kde::mass_in` oracle on every band the default bands query —
+    /// over samples dense in band edges and their float neighbours,
+    /// duplicates, negatives and ±∞.
+    #[test]
+    fn counted_band_mass_matches_kde_mass(
+        drawn in prop::collection::vec((0..5u32, -200.0..1_500.0f64, 0..16usize), 1..200),
+    ) {
+        let data: Vec<f64> = drawn.iter().map(|&(kind, x, i)| hostile_latency(kind, x, i)).collect();
+        let b = LatencyBands::default();
+        let floor = |lo: f64| (0.0, b.terrestrial_max.min(lo));
+        let queried = [
+            (0.0, b.terrestrial_max),
+            b.leo,
+            b.meo,
+            b.geo,
+            floor(b.leo.0),
+            floor(b.meo.0),
+            floor(b.geo.0),
+        ];
+        let kde = Kde::fit(&data).unwrap();
+        for (lo, hi) in queried {
+            prop_assert_eq!(
+                counted_mass(&data, lo, hi).to_bits(),
+                kde.mass_in(lo, hi).to_bits(),
+                "band [{lo}, {hi})"
+            );
+        }
+    }
+
     /// Changepoint detection finds no shifts in a constant series, no
     /// matter its level, length, or the threshold.
     #[test]
@@ -340,5 +371,26 @@ proptest! {
         let series = vec![level; n];
         let shifts = detect_mean_shifts(&series, min_shift, 5);
         prop_assert!(shifts.is_empty(), "found {} shifts", shifts.len());
+    }
+}
+
+/// Every edge `LatencyBands::default()` and the verdict floors query,
+/// plus both signed zeros.
+const BAND_EDGES: [f64; 8] = [-0.0, 0.0, 35.0, 100.0, 150.0, 300.0, 450.0, 1_200.0];
+
+/// One latency draw for the band-mass property: uniform (`kind` 0), a
+/// band edge (1), an edge's float neighbour below or above (2), a whole
+/// millisecond so draws collide (3), or -∞/+∞ (4).
+fn hostile_latency(kind: u32, x: f64, i: usize) -> f64 {
+    let edge = BAND_EDGES[i % BAND_EDGES.len()];
+    let below = i < BAND_EDGES.len();
+    match kind {
+        1 => edge,
+        2 if below => edge.next_down(),
+        2 => edge.next_up(),
+        3 => x.round(),
+        4 if below => f64::NEG_INFINITY,
+        4 => f64::INFINITY,
+        _ => x,
     }
 }
