@@ -8,8 +8,8 @@
 //!    category search plus Hurricane-Electric-style name search, then
 //!    manually curate away the lookalikes (cable TV, teleports, fleet
 //!    tracking);
-//! 2. [`validate`] — check each ASN's latency band masses against the access
-//!    technology its operator sells; flag corporate/terrestrial ASNs
+//! 2. [`validate`] — check each ASN's latency band masses against the
+//!    access technology its operator sells; flag corporate/terrestrial ASNs
 //!    (Starlink AS27277), broken hybrids (SES AS201554) and ASNs mixing
 //!    regimes internally (TelAlaska AS10538);
 //! 3. [`prefix_filter`] — the strict per-`/24` filter (≥ 10 tests, all

@@ -308,8 +308,8 @@ impl OnlineIdentifier {
     /// Per-ASN profiles validated against the streaming sketches
     /// instead of retained latency buffers — `None` unless
     /// [`OnlineIdentifier::track_asn_sketches`] was enabled. Verdicts
-    /// agree with the buffer-backed counted masses up to the sketch's bin
-    /// resolution (see `validate::profile_from_sketch`).
+    /// agree with the buffer-backed counted masses up to the sketch's
+    /// bin resolution (see `validate::profile_from_sketch`).
     pub fn sketch_profiles(&self) -> Option<Vec<AsnProfile>> {
         let by_asn = self.asn_sketches.as_ref()?;
         let empty = QuantileSketch::default();

@@ -350,8 +350,8 @@ impl Pipeline {
         }
         let access = sno_registry::sources::access_of(op);
         match access {
-            // LEO operators are identified at ASN granularity; the stage-3
-            // stage already removed the bad ASNs.
+            // LEO operators are identified at ASN granularity; stage 3
+            // already removed the bad ASNs.
             AccessKind::Satellite(OrbitClass::Leo) => Some(op),
             // The MEO operator likewise, with the regime floor as a
             // sanity cut.

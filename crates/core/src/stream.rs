@@ -9,7 +9,7 @@
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
-//!    (per-ASN latency samples for stage-3 validation, per-`(operator, /24)`
+//!    (per-ASN latency samples for stage 3, per-`(operator, /24)`
 //!    samples for the strict filter). Accumulators merge in shard
 //!    order, so every bucket holds its samples in record order —
 //!    byte-identical to the serial bucketing the materialized path

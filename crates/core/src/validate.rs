@@ -106,8 +106,8 @@ pub fn validate_asns(
 
 /// [`validate_asns`] with an explicit worker-thread count (`0` = all
 /// cores). Each (operator, ASN) profile is an independent band count,
-/// so the profiles fan out across the pool and merge in mapping order — the
-/// output is identical at every thread count.
+/// so the profiles fan out across the pool and merge in mapping order —
+/// the output is identical at every thread count.
 pub fn validate_asns_threaded(
     mapping: &AsnMapping,
     records: &[NdtRecord],
