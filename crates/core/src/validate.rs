@@ -358,6 +358,7 @@ mod tests {
         );
         let p = profile_one(Operator::Ses, Asn(12684), &lat, bands());
         assert_eq!(p.verdict, AsnVerdict::Consistent, "{p:?}");
+        assert_eq!(kde_modes(&lat), 2);
     }
 
     #[test]
@@ -388,6 +389,7 @@ mod tests {
         let lat = vec![600.0; 10];
         let p = profile_one(Operator::Kacific, Asn(135409), &lat, bands());
         assert_eq!(p.verdict, AsnVerdict::Insufficient);
+        assert_eq!(kde_modes(&lat), 0);
     }
 
     #[test]
