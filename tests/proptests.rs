@@ -338,7 +338,10 @@ proptest! {
     fn counted_band_mass_matches_kde_mass(
         drawn in prop::collection::vec((0..5u32, -200.0..1_500.0f64, 0..16usize), 1..200),
     ) {
-        let data: Vec<f64> = drawn.iter().map(|&(kind, x, i)| hostile_latency(kind, x, i)).collect();
+        let data: Vec<f64> = drawn
+            .iter()
+            .map(|&(kind, x, i)| hostile_latency(kind, x, i))
+            .collect();
         let b = LatencyBands::default();
         let floor = |lo: f64| (0.0, b.terrestrial_max.min(lo));
         let queried = [
