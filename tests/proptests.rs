@@ -336,25 +336,15 @@ proptest! {
     /// duplicates, negatives and ±∞.
     #[test]
     fn counted_band_mass_matches_kde_mass(
-        drawn in prop::collection::vec((0..5u32, -200.0..1_500.0f64, 0..16usize), 1..200),
+        drawn in prop::collection::vec((0..5u32, -200.0..1_500.0f64, 0..64usize), 1..200),
     ) {
+        let edges = band_edges();
         let data: Vec<f64> = drawn
             .iter()
-            .map(|&(kind, x, i)| hostile_latency(kind, x, i))
+            .map(|&(kind, x, i)| hostile_latency(&edges, kind, x, i))
             .collect();
-        let b = LatencyBands::default();
-        let floor = |lo: f64| (0.0, b.terrestrial_max.min(lo));
-        let queried = [
-            (0.0, b.terrestrial_max),
-            b.leo,
-            b.meo,
-            b.geo,
-            floor(b.leo.0),
-            floor(b.meo.0),
-            floor(b.geo.0),
-        ];
         let kde = Kde::fit(&data).unwrap();
-        for (lo, hi) in queried {
+        for (lo, hi) in queried_bands() {
             prop_assert_eq!(
                 counted_mass(&data, lo, hi).to_bits(),
                 kde.mass_in(lo, hi).to_bits(),
@@ -377,16 +367,42 @@ proptest! {
     }
 }
 
-/// Every edge `LatencyBands::default()` and the verdict floors query,
-/// plus both signed zeros.
-const BAND_EDGES: [f64; 8] = [-0.0, 0.0, 35.0, 100.0, 150.0, 300.0, 450.0, 1_200.0];
+/// Every band `LatencyBands::default()` and the verdict floors query:
+/// terrestrial, LEO/MEO/GEO, and the three `[0, min(terrestrial, lo))`
+/// floors.
+fn queried_bands() -> [(f64, f64); 7] {
+    let b = LatencyBands::default();
+    let floor = |lo: f64| (0.0, b.terrestrial_max.min(lo));
+    [
+        (0.0, b.terrestrial_max),
+        b.leo,
+        b.meo,
+        b.geo,
+        floor(b.leo.0),
+        floor(b.meo.0),
+        floor(b.geo.0),
+    ]
+}
+
+/// Every distinct bound of `queried_bands()`, plus both signed zeros.
+fn band_edges() -> Vec<f64> {
+    let mut edges = vec![-0.0, 0.0];
+    for (lo, hi) in queried_bands() {
+        for x in [lo, hi] {
+            if !edges.iter().any(|e: &f64| e.to_bits() == x.to_bits()) {
+                edges.push(x);
+            }
+        }
+    }
+    edges
+}
 
 /// One latency draw for the band-mass property: uniform (`kind` 0), a
 /// band edge (1), an edge's float neighbour below or above (2), a whole
 /// millisecond so draws collide (3), or -∞/+∞ (4).
-fn hostile_latency(kind: u32, x: f64, i: usize) -> f64 {
-    let edge = BAND_EDGES[i % BAND_EDGES.len()];
-    let below = i < BAND_EDGES.len();
+fn hostile_latency(edges: &[f64], kind: u32, x: f64, i: usize) -> f64 {
+    let edge = edges[i % edges.len()];
+    let below = (i / edges.len()) % 2 == 0;
     match kind {
         1 => edge,
         2 if below => edge.next_down(),
