@@ -46,21 +46,21 @@ write_timings() {
 }
 
 run build cargo build --release --offline
-run test cargo test -q --offline --workspace
-
-# Allocation gate: rerun the built unit and integration tests under a
-# 2 GiB address-space ceiling, so a caller-sized `with_capacity` that
-# asks for far more than its input (the class behind the codec's
-# 48 GiB reservation at `chunk_len = 1 << 30`) aborts here even on a
-# kernel that overcommits. The suite passes at 768 MiB with two test
-# threads and two malloc arenas; both are pinned so the address space
-# does not scale with the core count. Doctests are left out: rustdoc
-# compiles them, and the ceiling must not limit the compiler. The
-# build runs first, outside the child shell that sets the ulimit.
-run alloc-gate bash -c \
+# Test stage, under an allocation ceiling: the unit and integration
+# tests run under a 2 GiB address-space limit, so a caller-sized
+# `with_capacity` that asks for far more than its input (the class
+# behind the codec's 48 GiB reservation at `chunk_len = 1 << 30`)
+# aborts here even on a kernel that overcommits. The suite passes at
+# 768 MiB with two test threads and two malloc arenas; both are pinned
+# so the address space does not scale with the core count. The build
+# runs first and the ulimit lives in a child shell, so the compiler is
+# not limited; doctests run last, unlimited, because rustdoc compiles
+# them.
+run test bash -c \
     'cargo test -q --offline --workspace --lib --bins --tests --no-run &&
      (ulimit -v 2097152; RUST_TEST_THREADS=2 MALLOC_ARENA_MAX=2 \
-      exec cargo test -q --offline --workspace --lib --bins --tests)'
+      exec cargo test -q --offline --workspace --lib --bins --tests) &&
+     cargo test -q --offline --workspace --doc'
 run examples cargo build --examples --offline
 run benches cargo build --benches --offline -p sno-bench
 run fmt cargo fmt --check
