@@ -402,7 +402,7 @@ fn band_edges() -> Vec<f64> {
 /// millisecond so draws collide (3), or -∞/+∞ (4).
 fn hostile_latency(edges: &[f64], kind: u32, x: f64, i: usize) -> f64 {
     let edge = edges[i % edges.len()];
-    let below = (i / edges.len()) % 2 == 0;
+    let below = (i / edges.len()).is_multiple_of(2);
     match kind {
         1 => edge,
         2 if below => edge.next_down(),
