@@ -121,23 +121,31 @@ run sim-gate cargo run --release --offline -p sno-bench --bin repro -- \
 # run's measured peak and well below the ~35 MiB the materialized path
 # needs at this scale, so accidentally materializing the corpus inside
 # the streamed path trips the limit. ulimit lives in the child shell
-# so it does not leak into later stages.
+# so it does not leak into later stages. MALLOC_ARENA_MAX=1 keeps
+# glibc from reserving a 64 MiB arena per worker thread: those
+# reservations are address space the program never touches, and they
+# scale with the core count, not with the corpus.
 run memory-gate bash -c \
-    'ulimit -v 24576; exec ./target/release/repro table1 --scale 2e-2 --chunk 4096 >/dev/null'
+    'ulimit -v 24576; MALLOC_ARENA_MAX=1 exec ./target/release/repro table1 --scale 2e-2 --chunk 4096 >/dev/null'
 
 # Paper-scale gate: the streamed pipeline drives a paper-sized corpus
 # end to end — chunked generation, parallel two-pass identification,
 # heartbeats for liveness — under a wall-clock budget (timeout) and an
 # address-space ceiling sized at ~2x the measured run (see README "CI
 # gates" for the numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured
-# 113 s wall / 40 MB address-space peak on the 1-core reference box);
-# nightly runs the full paper volume (measured 1107 s / 278 MB) with
+# 113 s wall / 40 MB address-space peak on the 1-core reference box;
+# 33.3 MiB at one worker thread and 40.5 MiB at two with one malloc
+# arena on a 2-vCPU box); nightly runs the full paper volume (measured
+# 1107 s / 278 MB) with
 #   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=2400 SNO_CI_ULIMIT_KB=573440 ./ci.sh
+# MALLOC_ARENA_MAX=1 as in the memory gate: with per-thread arenas the
+# two-thread run reserves ~338 MiB of address space, and the ceiling
+# then fails whichever allocation loses the race for it.
 SNO_CI_SCALE="${SNO_CI_SCALE:-1e-1}"
 SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-600}"
 SNO_CI_ULIMIT_KB="${SNO_CI_ULIMIT_KB:-81920}"
 run paper-scale-gate bash -c \
-    "ulimit -v ${SNO_CI_ULIMIT_KB}; exec timeout ${SNO_CI_BUDGET_S} \
+    "ulimit -v ${SNO_CI_ULIMIT_KB}; MALLOC_ARENA_MAX=1 exec timeout ${SNO_CI_BUDGET_S} \
      ./target/release/repro table1 --scale ${SNO_CI_SCALE} --chunk 4096 --progress 2000000 >/dev/null"
 
 write_timings

@@ -3,7 +3,9 @@
 use sno_core::pipeline::{Pipeline, PipelineReport};
 use sno_core::stream::{StreamOptions, StreamedReport};
 use sno_synth::{AtlasCorpus, AtlasGenerator, MlabCorpus, MlabGenerator, SynthConfig};
-use sno_types::{Operator, RecordBatch};
+use sno_types::chunk::RecordChunks;
+use sno_types::records::NdtRecord;
+use sno_types::Operator;
 use std::sync::OnceLock;
 
 /// The chunk length the streaming paths use when the caller gave none.
@@ -18,17 +20,17 @@ pub const FIG4A_OPS: [Operator; 5] = [
     Operator::Oneweb,
 ];
 
-/// The Figure 4a corpus (columnar) and its per-record acceptance.
+/// The Figure 4a corpus and its identification report.
 ///
 /// The figure regenerates the five operators of interest over a
 /// one-year window with a raised session floor, so its corpus differs
 /// from the shared [`ReproContext::mlab`] one — cached here the same
-/// way, built through the chunked generator and the columnar pipeline.
+/// way, built through the chunked generator.
 pub struct Fig4aState {
-    /// The regenerated corpus as a struct-of-arrays batch.
-    pub batch: RecordBatch,
-    /// Per-record acceptance from the columnar pipeline run.
-    pub accepted: Vec<Option<Operator>>,
+    /// The regenerated corpus.
+    pub records: Vec<NdtRecord>,
+    /// The pipeline report over `records`.
+    pub report: PipelineReport,
 }
 
 /// The Figure 4a generator configuration derived from a base config:
@@ -158,22 +160,19 @@ impl ReproContext {
         })
     }
 
-    /// The Figure 4a corpus and acceptance (generated and identified on
+    /// The Figure 4a corpus and report (generated and identified on
     /// first call): five operators over the figure's one-year window,
-    /// streamed through the chunked generator into a columnar batch and
-    /// run through the columnar pipeline at this context's thread and
-    /// chunk settings.
+    /// generated in chunks of this context's chunk length, collected
+    /// once, and run through the pipeline at this context's thread
+    /// setting.
     pub fn fig4a(&self) -> &Fig4aState {
         self.fig4a.get_or_init(|| {
             let generator = MlabGenerator::new(fig4a_config(self.config()));
-            let batch = RecordBatch::from_chunks(
-                generator.generate_chunks_for(&FIG4A_OPS, self.chunk_len()),
-            );
-            let report = Pipeline::with_threads(self.threads()).run_batch(&batch);
-            Fig4aState {
-                batch,
-                accepted: report.accepted,
-            }
+            let records = generator
+                .generate_chunks_for(&FIG4A_OPS, self.chunk_len())
+                .collect_records();
+            let report = Pipeline::with_threads(self.threads()).run(&records);
+            Fig4aState { records, report }
         })
     }
 

@@ -409,9 +409,9 @@ fn fig4a_row(
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig4a(ctx: &ReproContext) -> String {
-    // The figure's corpus and acceptance are cached on the context
-    // (chunked generation into a columnar batch, columnar pipeline at
-    // the context's thread setting); see `ReproContext::fig4a`.
+    // The figure's corpus and report are cached on the context
+    // (chunked generation, pipeline at the context's thread setting);
+    // see `ReproContext::fig4a`.
     let state = ctx.fig4a();
 
     let mut out = String::new();
@@ -427,10 +427,10 @@ fn fig4a(ctx: &ReproContext) -> String {
         "{:<12} {:>6} {:>16} {:>14}",
         "SNO", "days", "median-of-day", "p95 daily var"
     );
-    // One grouped columnar pass over the batch instead of one full scan
-    // per operator.
+    // One grouped pass over the corpus instead of one full scan per
+    // operator.
     let ops: Vec<Operator> = paper.iter().map(|&(op, _)| op).collect();
-    let mut by_op = analysis::stability_by_operator_batch(&state.batch, &state.accepted, &ops);
+    let mut by_op = analysis::stability_by_operator(&state.records, &state.report, &ops);
     for (op, paper_var) in paper {
         out.push_str(&fig4a_row(op, by_op.remove(&op), paper_var));
     }
@@ -1169,11 +1169,12 @@ AS10538   TelAlaska (GEO mixed with wireline)
             ..SynthConfig::test_corpus()
         };
         let generator = sno_synth::MlabGenerator::new(cfg);
-        let batch =
-            sno_types::RecordBatch::from_chunks(generator.generate_chunks_for(&FIG4A_OPS, 512));
-        let report = sno_core::pipeline::Pipeline::new().run_batch(&batch);
+        let records = generator
+            .generate_chunks_for(&FIG4A_OPS, 512)
+            .collect_records();
+        let report = sno_core::pipeline::Pipeline::new().run(&records);
         let ops = FIG4A_OPS.to_vec();
-        let mut by_op = analysis::stability_by_operator_batch(&batch, &report.accepted, &ops);
+        let mut by_op = analysis::stability_by_operator(&records, &report, &ops);
         let mut rendered = String::new();
         for op in FIG4A_OPS {
             rendered.push_str(&fig4a_row(op, by_op.remove(&op), 0.0));

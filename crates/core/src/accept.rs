@@ -8,9 +8,8 @@
 //! record. This module folds the per-ASN work into sorted lookup
 //! tables built once per pipeline run, so the per-record cost drops to
 //! a binary search over ~67 ASNs plus one comparison, with decisions
-//! *identical* to [`Pipeline::accept`](crate::pipeline::Pipeline)'s
-//! row-at-a-time logic (pinned by the tests below and the columnar
-//! determinism suites).
+//! *identical* to the row-at-a-time reference `Pipeline::accept` that
+//! the tests below keep as their oracle.
 
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::MEO_FLOOR_MS;
@@ -106,9 +105,9 @@ pub struct AcceptTable {
 
 impl AcceptTable {
     /// Build the table from the stage 1–3c outputs. One entry per
-    /// curated ASN, rules mirroring `Pipeline::accept` comparison for
-    /// comparison (strict `>` for the MEO floor, `>=` for relaxed
-    /// thresholds).
+    /// curated ASN, rules mirroring the row oracle `Pipeline::accept`
+    /// (in the tests below) comparison for comparison (strict `>` for
+    /// the MEO floor, `>=` for relaxed thresholds).
     pub fn build(
         mapping: &AsnMapping,
         verdicts: &BTreeMap<Asn, AsnVerdict>,
@@ -320,7 +319,46 @@ impl AcceptState {
 mod tests {
     use super::*;
     use crate::asn_map::map_asns;
+    use crate::pipeline::Pipeline;
+    use sno_types::records::NdtRecord;
     use sno_types::OrbitClass;
+
+    impl Pipeline {
+        /// Decide one record row-at-a-time: the reference implementation
+        /// the per-ASN [`AcceptTable`] is checked against (the hot paths
+        /// use the table).
+        pub fn accept(
+            &self,
+            rec: &NdtRecord,
+            mapping: &AsnMapping,
+            verdicts: &BTreeMap<sno_types::Asn, AsnVerdict>,
+            thresholds: &BTreeMap<Operator, f64>,
+            default_threshold: f64,
+        ) -> Option<Operator> {
+            let op = mapping.operator_of(rec.asn)?;
+            // ASNs whose latency profile contradicts the technology are out
+            // wholesale (corporate networks, broken hybrids).
+            if matches!(verdicts.get(&rec.asn), Some(AsnVerdict::Outlier(_))) {
+                return None;
+            }
+            let access = sno_registry::sources::access_of(op);
+            match access {
+                // LEO operators are identified at ASN granularity; stage 3
+                // already removed the bad ASNs.
+                AccessKind::Satellite(OrbitClass::Leo) => Some(op),
+                // The MEO operator likewise, with the regime floor as a
+                // sanity cut.
+                AccessKind::Satellite(OrbitClass::Meo) => {
+                    (rec.latency_p5.0 > MEO_FLOOR_MS).then_some(op)
+                }
+                // GEO and hybrid operators go through the relaxed filter.
+                _ => {
+                    let threshold = thresholds.get(&op).copied().unwrap_or(default_threshold);
+                    (rec.latency_p5.0 >= threshold).then_some(op)
+                }
+            }
+        }
+    }
 
     #[test]
     fn index_matches_linear_operator_of() {
@@ -356,7 +394,6 @@ mod tests {
 
     #[test]
     fn table_decisions_match_row_accept_on_a_real_corpus() {
-        use crate::pipeline::Pipeline;
         let corpus = sno_synth::MlabGenerator::new(sno_synth::SynthConfig {
             scale: 5e-5,
             min_sessions: 40,

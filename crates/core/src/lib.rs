@@ -48,6 +48,6 @@ pub use analysis::{jitter_by_orbit, latency_by_operator, retransmissions, stabil
 pub use asn_map::{map_asns, AsnMapping};
 pub use online::{OnlineIdentifier, PopFlag};
 pub use pipeline::{Pipeline, PipelineReport};
-pub use prefix_filter::{relaxed_thresholds, strict_filter, StrictOutcome};
+pub use prefix_filter::{relaxed_thresholds, strict_filter_from_buckets, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};
-pub use validate::{validate_asns, AsnVerdict, LatencyBands};
+pub use validate::{profiles_from_buckets, AsnVerdict, LatencyBands};

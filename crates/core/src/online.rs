@@ -37,7 +37,9 @@
 //!   Either way the report is byte-identical to [`Pipeline::run_streamed`]
 //!   over the same records — online verdicts *are* batch verdicts,
 //!   pinned by `tests/online_determinism.rs` across interleaved
-//!   ingest/snapshot/merge/compact schedules.
+//!   ingest/snapshot/merge/compact schedules. The cache runs the same
+//!   per-bucket derivation `run_streamed` runs with a fresh cache, and
+//!   the report comes out of the same constructor.
 //! * **Compaction** — [`OnlineIdentifier::compact`] drops the decided
 //!   prefix of the replay log, retaining only each dropped frame's ASN
 //!   (4 bytes instead of 52). An accept decision is a function of
@@ -51,7 +53,9 @@
 //! first *evict* the leading run of frames older than `window_secs`
 //! behind the newest timestamp seen — sound because the cutoff only
 //! moves forward, so an expired frame can never re-enter a later
-//! window — then re-derive statistics from the retained log. The
+//! window — then hand the in-window records to
+//! [`Pipeline::run_streamed`]. [`OnlineIdentifier::snapshot_full`], the
+//! full-replay oracle, is `run_streamed` over the replay log. The
 //! unwindowed default keeps the whole stream (resident or compacted)
 //! and therefore matches the batch report exactly.
 
@@ -59,10 +63,11 @@ use crate::accept::{AcceptState, AsnOps};
 use crate::asn_map::{map_asns, AsnMapping};
 use crate::pipeline::{Pipeline, StageCache};
 use crate::stream::{
-    accept_pass, AcceptBitmap, CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN,
+    accept_pass, AcceptPass, CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN,
 };
 use crate::validate::{profile_from_sketch, AsnProfile};
 use sno_stats::{daily_medians, OnlineShiftDetector, QuantileSketch, Shift};
+use sno_types::chunk::slice_chunks;
 use sno_types::records::NdtRecord;
 use sno_types::{codec, Asn, Operator, RecordBatch, Timestamp, UtcDay};
 use std::collections::BTreeMap;
@@ -329,8 +334,7 @@ impl OnlineIdentifier {
     /// Render the current state through the standard report path. The
     /// report is byte-identical to [`Pipeline::run_streamed`] over the
     /// same records (the whole stream, or the sliding window if one was
-    /// configured). `opts.replay_encoded` is moot here — snapshots
-    /// always replay the internal log.
+    /// configured).
     ///
     /// Unwindowed, the cost is O(frames since the last snapshot) while
     /// the derived accept table is stable, and O(stream) on the rare
@@ -382,65 +386,29 @@ impl OnlineIdentifier {
         }
         debug_assert_eq!(self.accept.decided(), self.ingested);
 
-        let (counts, bitmap, dense, latencies) = match self.accept.pass() {
-            Some(pass) => (
-                pass.counts.clone(),
-                pass.bitmap.clone(),
-                pass.dense.clone(),
-                pass.latencies.clone(),
-            ),
-            None => (BTreeMap::new(), AcceptBitmap::new(), None, None),
-        };
-        let mut catalog: Vec<(Operator, u64)> = counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        StreamedReport {
-            mapping: self.mapping.clone(),
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: self.ingested,
-            catalog,
-            bitmap,
-            accepted: dense,
-            latencies_by_operator: latencies,
-        }
+        // The state always holds a pass here: the first snapshot (and
+        // any invalidating merge) took the epoch-bump branch above.
+        let pass = self
+            .accept
+            .pass()
+            .cloned()
+            .unwrap_or_else(|| AcceptPass::empty(opts));
+        StreamedReport::assemble(self.mapping.clone(), stages, self.ingested, pass)
     }
 
-    /// The full-replay reference snapshot: re-derive every stage from
-    /// scratch and replay the entire resident log, ignoring (and not
-    /// touching) the persistent accept state — what `snapshot()` cost
-    /// before incremental acceptance, minus the log clone. Kept as the
-    /// oracle the incremental path is tested and benchmarked against.
-    /// Unwindowed, uncompacted identifiers only: the whole stream must
-    /// still be resident.
+    /// The full-replay reference snapshot: the streamed engine over the
+    /// resident log, ignoring (and not touching) the persistent accept
+    /// state and the stage cache. Kept as the oracle the incremental
+    /// path is tested and benchmarked against. Unwindowed, uncompacted
+    /// identifiers only: the whole stream must still be resident.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn snapshot_full(&self, opts: StreamOptions) -> StreamedReport {
         debug_assert!(
             self.window_secs.is_none() && self.compacted_slots.is_empty(),
             "snapshot_full replays the resident log; use snapshot() after compaction/windowing"
         );
-        let stages = self.pipeline.derive_stages(&self.mapping, &self.stats);
-        let pass = accept_pass(
-            &stages.table,
-            self.log.chunks(REPLAY_CHUNK_LEN),
-            opts,
-            self.pipeline.threads,
-        );
-        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        StreamedReport {
-            mapping: self.mapping.clone(),
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: self.ingested,
-            catalog,
-            bitmap: pass.bitmap,
-            accepted: pass.dense,
-            latencies_by_operator: pass.latencies,
-        }
+        self.pipeline
+            .run_streamed(|| self.log.chunks(REPLAY_CHUNK_LEN), opts)
     }
 
     /// Fold the decided prefix of the replay log into the persistent
@@ -485,55 +453,25 @@ impl OnlineIdentifier {
     }
 
     /// The windowed path: evict the expired leading run of the log,
-    /// then re-derive statistics over the retained window and replay
-    /// it. Eviction is sound because `latest` (hence the cutoff) only
-    /// moves forward: a frame older than today's cutoff is older than
-    /// every future cutoff too, so dropping it can never change a later
-    /// snapshot. Out-of-order stragglers *behind* newer frames are
-    /// filtered per snapshot and evicted once the run ahead of them
-    /// expires.
+    /// then run the streamed engine over the retained window. Eviction
+    /// is sound because `latest` (hence the cutoff) only moves forward:
+    /// a frame older than today's cutoff is older than every future
+    /// cutoff too, so dropping it can never change a later snapshot.
+    /// Out-of-order stragglers *behind* newer frames are filtered per
+    /// snapshot and evicted once the run ahead of them expires.
     fn windowed_snapshot(&mut self, cutoff: u64, opts: StreamOptions) -> StreamedReport {
         use sno_types::chunk::RecordChunks;
         self.evict(cutoff);
-        // Rebuild the window's statistics and record set from the
-        // retained log, filtering the stragglers eviction could not
-        // reach (no clone of the encoder — chunks borrow its bytes).
-        let mut stats = CorpusStats::new();
+        // Collect the window from the retained log, filtering the
+        // stragglers eviction could not reach (no clone of the encoder —
+        // chunks borrow its bytes).
         let mut kept: Vec<NdtRecord> = Vec::new();
         let mut chunks = self.log.chunks(REPLAY_CHUNK_LEN);
         while let Some(chunk) = chunks.next_chunk() {
-            let in_window: Vec<NdtRecord> = chunk
-                .into_iter()
-                .filter(|r| r.timestamp.0 >= cutoff)
-                .collect();
-            if in_window.is_empty() {
-                continue;
-            }
-            let batch = RecordBatch::from_records(&in_window);
-            stats.observe_batch(&self.index, &batch, 0..batch.len());
-            kept.extend(in_window);
+            kept.extend(chunk.into_iter().filter(|r| r.timestamp.0 >= cutoff));
         }
-        let stages = self.pipeline.derive_stages(&self.mapping, &stats);
-        let pass = accept_pass(
-            &stages.table,
-            sno_types::chunk::slice_chunks(&kept, REPLAY_CHUNK_LEN),
-            opts,
-            self.pipeline.threads,
-        );
-        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        StreamedReport {
-            mapping: self.mapping.clone(),
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: stats.records,
-            catalog,
-            bitmap: pass.bitmap,
-            accepted: pass.dense,
-            latencies_by_operator: pass.latencies,
-        }
+        self.pipeline
+            .run_streamed(|| slice_chunks(&kept, REPLAY_CHUNK_LEN), opts)
     }
 
     /// Drop the leading run of frames older than `cutoff` from the

@@ -1,15 +1,16 @@
 //! Stage 4: the end-to-end pipeline and the SNO catalog (Table 1).
 
 use crate::accept::AcceptTable;
-use crate::asn_map::{map_asns, AsnMapping};
+use crate::asn_map::AsnMapping;
 use crate::prefix_filter::{
-    collect_strict, outlier_set, relaxed_thresholds, strict_eval_bucket,
-    strict_filter_from_buckets, BucketOutcome, PrefixEntry, StrictOutcome, MEO_FLOOR_MS,
+    collect_strict, outlier_set, relaxed_thresholds, strict_eval_bucket, BucketOutcome,
+    PrefixEntry, StrictOutcome,
 };
-use crate::stream::CorpusStats;
-use crate::validate::{profile_one, profiles_from_buckets, AsnProfile, AsnVerdict, LatencyBands};
+use crate::stream::{CorpusStats, StreamOptions, REPLAY_CHUNK_LEN};
+use crate::validate::{profile_one, AsnProfile, LatencyBands};
+use sno_types::chunk::slice_chunks;
 use sno_types::records::NdtRecord;
-use sno_types::{par, AccessKind, Asn, Operator, OrbitClass, Prefix24, RecordBatch};
+use sno_types::{par, Asn, Operator, Prefix24};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The configured pipeline.
@@ -92,13 +93,15 @@ pub(crate) struct DerivedStages {
     pub table: AcceptTable,
 }
 
-/// Incremental stage 3–3c derivation for the online path.
+/// The stage 3–3c derivation: the only one in the crate.
 ///
-/// [`Pipeline::derive_stages`] recomputes every ASN profile and every
-/// strict prefix bucket from scratch; at snapshot cadence that is the
-/// O(corpus) cost the incremental identifier is built to avoid. The
-/// cache exploits that both stages decompose into pure per-bucket
-/// evaluations over *append-only* buckets:
+/// A fresh cache (`StageCache::default()`) evaluates every ASN profile
+/// and every strict prefix bucket: that is the batch derivation
+/// [`Pipeline::run_streamed`] runs between its passes. The online identifier keeps one cache
+/// across snapshots, where re-evaluating every bucket would be the
+/// O(corpus) cost it is built to avoid. The cache exploits that both
+/// stages decompose into pure per-bucket evaluations over
+/// *append-only* buckets:
 ///
 /// - a per-ASN profile depends only on that ASN's latency bucket, so an
 ///   unchanged sample count means an unchanged profile;
@@ -110,8 +113,9 @@ pub(crate) struct DerivedStages {
 ///
 /// The whole derivation is additionally memoized on the caller's
 /// statistics revision, making snapshots of an unchanged corpus O(1).
-/// Results are byte-identical to [`Pipeline::derive_stages`] — same
-/// bucket order, same per-bucket evaluation — pinned by the test below.
+/// A warm cache returns exactly what a fresh one would — same bucket
+/// order, same per-bucket evaluation — pinned by the test below
+/// against the public stage functions.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageCache {
     /// Statistics revision the cached `stages` were derived at.
@@ -249,120 +253,27 @@ impl Pipeline {
         }
     }
 
-    /// Run all stages over an NDT corpus.
-    ///
-    /// Columnarizes the slice and delegates to [`Pipeline::run_batch`];
-    /// both entry points produce byte-identical reports (pinned by
-    /// `tests/columnar_determinism.rs`).
+    /// Run all stages over a materialized NDT corpus: the streamed
+    /// engine over the slice with dense acceptance, so the report is
+    /// byte-identical to [`Pipeline::run_streamed`] over the same
+    /// records.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn run(&self, records: &[NdtRecord]) -> PipelineReport {
-        self.run_batch(&RecordBatch::from_records(records))
-    }
-
-    /// Run all stages over a columnar batch.
-    ///
-    /// This is the hot path: statistics accumulate over dense columns,
-    /// and the accept pass decides each record through a precomputed
-    /// per-ASN [`AcceptTable`] instead of re-deriving mapping, verdict
-    /// and threshold per row.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn run_batch(&self, batch: &RecordBatch) -> PipelineReport {
-        // Stages 1–2: registry mapping + curation.
-        let mapping = map_asns();
-        // Shared statistics accumulation: one sharded pass builds both
-        // the per-ASN and per-prefix buckets the next two stages need
-        // (the streaming pipeline folds the same accumulator per chunk).
-        let stats = CorpusStats::collect_batch(&mapping, batch, self.threads);
-        // Stages 3–3c, folded into the per-ASN decision table.
-        let stages = self.derive_stages(&mapping, &stats);
-
-        // Stage 4: per-record acceptance, in record-order shards over
-        // the ASN and latency columns.
-        let asns = batch.asns();
-        let latencies = batch.latency_p5();
-        let accepted: Vec<Option<Operator>> =
-            par::shard_map_chunks(batch.len(), 1024, self.threads, |_, range| {
-                asns[range.clone()]
-                    .iter()
-                    .zip(&latencies[range])
-                    .map(|(&asn, &lat)| stages.table.decide(asn, lat))
-                    .collect()
-            });
-
-        let mut counts: BTreeMap<Operator, u64> = BTreeMap::new();
-        for op in accepted.iter().flatten() {
-            *counts.entry(*op).or_default() += 1;
-        }
-        let mut catalog: Vec<(Operator, u64)> = counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
+        let report = self.run_streamed(
+            || slice_chunks(records, REPLAY_CHUNK_LEN),
+            StreamOptions {
+                dense_acceptance: true,
+                ..StreamOptions::default()
+            },
+        );
         PipelineReport {
-            mapping,
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            accepted,
-            catalog,
-        }
-    }
-
-    /// Stages 3–3c over accumulated statistics, plus the accept table
-    /// they determine (shared between the materialized and streamed
-    /// paths).
-    pub(crate) fn derive_stages(&self, mapping: &AsnMapping, stats: &CorpusStats) -> DerivedStages {
-        // Stage 3: band-mass validation.
-        let profiles = profiles_from_buckets(mapping, &stats.by_asn, self.bands, self.threads);
-        let verdict_of: BTreeMap<_, _> = profiles
-            .iter()
-            .map(|p| (p.asn, p.verdict.clone()))
-            .collect();
-        // Stage 3b: strict prefix filter.
-        let strict = strict_filter_from_buckets(&profiles, &stats.by_prefix, self.threads);
-        // Stage 3c: relaxed thresholds.
-        let (thresholds, default_threshold) = relaxed_thresholds(&strict);
-        let table = AcceptTable::build(mapping, &verdict_of, &thresholds, default_threshold);
-        DerivedStages {
-            profiles,
-            strict,
-            thresholds,
-            default_threshold,
-            table,
-        }
-    }
-
-    /// Decide one record row-at-a-time: the reference implementation
-    /// the per-ASN [`AcceptTable`] is checked against (the hot paths
-    /// use the table).
-    pub fn accept(
-        &self,
-        rec: &NdtRecord,
-        mapping: &AsnMapping,
-        verdicts: &BTreeMap<sno_types::Asn, AsnVerdict>,
-        thresholds: &BTreeMap<Operator, f64>,
-        default_threshold: f64,
-    ) -> Option<Operator> {
-        let op = mapping.operator_of(rec.asn)?;
-        // ASNs whose latency profile contradicts the technology are out
-        // wholesale (corporate networks, broken hybrids).
-        if matches!(verdicts.get(&rec.asn), Some(AsnVerdict::Outlier(_))) {
-            return None;
-        }
-        let access = sno_registry::sources::access_of(op);
-        match access {
-            // LEO operators are identified at ASN granularity; stage 3
-            // already removed the bad ASNs.
-            AccessKind::Satellite(OrbitClass::Leo) => Some(op),
-            // The MEO operator likewise, with the regime floor as a
-            // sanity cut.
-            AccessKind::Satellite(OrbitClass::Meo) => {
-                (rec.latency_p5.0 > MEO_FLOOR_MS).then_some(op)
-            }
-            // GEO and hybrid operators go through the relaxed filter.
-            _ => {
-                let threshold = thresholds.get(&op).copied().unwrap_or(default_threshold);
-                (rec.latency_p5.0 >= threshold).then_some(op)
-            }
+            mapping: report.mapping,
+            profiles: report.profiles,
+            strict: report.strict,
+            thresholds: report.thresholds,
+            default_threshold: report.default_threshold,
+            accepted: report.accepted.unwrap_or_default(),
+            catalog: report.catalog,
         }
     }
 }
@@ -491,6 +402,9 @@ mod tests {
 
     #[test]
     fn stage_cache_matches_fresh_derivation_at_every_step() {
+        use crate::asn_map::map_asns;
+        use crate::prefix_filter::strict_filter_from_buckets;
+        use crate::validate::profiles_from_buckets;
         let corpus = MlabGenerator::new(SynthConfig {
             scale: 5e-5,
             min_sessions: 40,
@@ -509,21 +423,24 @@ mod tests {
             }
             rev += 1;
             let cached = cache.derive(&pipeline, &mapping, &stats, rev);
-            let fresh = pipeline.derive_stages(&mapping, &stats);
-            assert_eq!(cached.table, fresh.table);
-            assert_eq!(cached.thresholds, fresh.thresholds);
+            // The reference: the public stage functions, composed.
+            let profiles =
+                profiles_from_buckets(&mapping, &stats.by_asn, pipeline.bands, pipeline.threads);
+            let strict = strict_filter_from_buckets(&profiles, &stats.by_prefix, pipeline.threads);
+            let (thresholds, default_threshold) = relaxed_thresholds(&strict);
+            let verdict_of: BTreeMap<_, _> = profiles
+                .iter()
+                .map(|p| (p.asn, p.verdict.clone()))
+                .collect();
+            let table = AcceptTable::build(&mapping, &verdict_of, &thresholds, default_threshold);
+            assert_eq!(cached.table, table);
+            assert_eq!(cached.thresholds, thresholds);
             assert_eq!(
                 cached.default_threshold.to_bits(),
-                fresh.default_threshold.to_bits()
+                default_threshold.to_bits()
             );
-            assert_eq!(
-                format!("{:?}", cached.profiles),
-                format!("{:?}", fresh.profiles)
-            );
-            assert_eq!(
-                format!("{:?}", cached.strict),
-                format!("{:?}", fresh.strict)
-            );
+            assert_eq!(format!("{:?}", cached.profiles), format!("{profiles:?}"));
+            assert_eq!(format!("{:?}", cached.strict), format!("{strict:?}"));
             // Unchanged revision: the whole-derivation memo answers.
             let again = cache.derive(&pipeline, &mapping, &stats, rev);
             assert_eq!(again.table, cached.table);

@@ -16,11 +16,9 @@
 //! it; operators not covered by the strict stage use the minimum across
 //! covered operators (527 ms in the paper).
 
-use crate::asn_map::AsnMapping;
 use crate::validate::{AsnProfile, AsnVerdict};
 use sno_stats::FiveNumber;
 use sno_types::par;
-use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass, Prefix24};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -170,51 +168,15 @@ pub(crate) fn outlier_set(profiles: &[AsnProfile]) -> BTreeSet<Asn> {
         .collect()
 }
 
-/// Run the strict per-prefix filter over non-LEO operators.
-pub fn strict_filter(
-    mapping: &AsnMapping,
-    profiles: &[AsnProfile],
-    records: &[NdtRecord],
-) -> StrictOutcome {
-    strict_filter_threaded(mapping, profiles, records, 0)
-}
-
-/// [`strict_filter`] with an explicit worker-thread count (`0` = all
-/// cores). Prefix buckets are evaluated in fixed-size shards and the
-/// per-shard results merged in prefix order, so the outcome is
-/// identical at every thread count.
-pub fn strict_filter_threaded(
-    mapping: &AsnMapping,
-    profiles: &[AsnProfile],
-    records: &[NdtRecord],
-    threads: usize,
-) -> StrictOutcome {
-    // Group record latencies by (operator, /24), keeping the source ASN
-    // so the bucket stage below can drop outlier-ASN samples.
-    let mut by_prefix: BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>> = BTreeMap::new();
-    for rec in records {
-        let Some(op) = mapping.operator_of(rec.asn) else {
-            continue;
-        };
-        let access = sno_registry::sources::access_of(op);
-        if access.includes(OrbitClass::Leo) {
-            continue; // LEO is identified at ASN level
-        }
-        by_prefix
-            .entry((op, rec.client.prefix24()))
-            .or_default()
-            .push((rec.asn, rec.latency_p5.0));
-    }
-    strict_filter_from_buckets(profiles, &by_prefix, threads)
-}
-
-/// The filtering half of [`strict_filter_threaded`], starting from
-/// already-bucketed per-`(operator, /24)` samples (non-LEO operators
-/// only, each bucket in record order, tagged with the source ASN).
-/// This is the entry point for the streaming pipeline: the buckets are
-/// accumulated per chunk *before* stage 3 has ruled on any ASN,
-/// so outlier-ASN samples are dropped here, and buckets left empty by
-/// that cut were never examined.
+/// Run the strict per-prefix filter over already-bucketed
+/// per-`(operator, /24)` samples (non-LEO operators only, each bucket
+/// in record order, tagged with the source ASN, as
+/// [`CorpusStats`](crate::stream::CorpusStats) accumulates them). The
+/// buckets are accumulated *before* stage 3 has ruled on any ASN, so
+/// outlier-ASN samples are dropped here, and buckets left empty by that
+/// cut were never examined. Buckets are evaluated in fixed-size shards
+/// merged in prefix order, so the outcome is identical at every thread
+/// count (`0` = all cores).
 pub fn strict_filter_from_buckets(
     profiles: &[AsnProfile],
     by_prefix: &BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,
@@ -253,14 +215,16 @@ pub fn relaxed_thresholds(strict: &StrictOutcome) -> (BTreeMap<Operator, f64>, f
 mod tests {
     use super::*;
     use crate::asn_map::map_asns;
-    use crate::validate::{validate_asns, LatencyBands};
+    use crate::stream::CorpusStats;
+    use crate::validate::{profiles_from_buckets, LatencyBands};
     use sno_synth::{MlabGenerator, SynthConfig};
 
     fn run_stages() -> (StrictOutcome, BTreeMap<Operator, f64>, f64) {
         let corpus = MlabGenerator::new(SynthConfig::test_corpus()).generate();
         let mapping = map_asns();
-        let profiles = validate_asns(&mapping, &corpus.records, LatencyBands::default());
-        let strict = strict_filter(&mapping, &profiles, &corpus.records);
+        let stats = CorpusStats::collect(&mapping, &corpus.records, 0);
+        let profiles = profiles_from_buckets(&mapping, &stats.by_asn, LatencyBands::default(), 0);
+        let strict = strict_filter_from_buckets(&profiles, &stats.by_prefix, 0);
         let (per_op, default) = relaxed_thresholds(&strict);
         (strict, per_op, default)
     }

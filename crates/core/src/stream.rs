@@ -1,53 +1,53 @@
-//! The streaming pipeline: bounded-memory identification over chunked
-//! corpora.
+//! The identification engine: bounded-memory identification over
+//! chunked corpora.
 //!
-//! [`Pipeline::run`](crate::pipeline::Pipeline::run) materializes the
-//! whole corpus and a dense per-record `Vec<Option<Operator>>`; at
-//! paper scale (11.92 M sessions) neither fits comfortably in memory.
-//! [`Pipeline::run_streamed`] reproduces the exact same report from a
-//! re-streamable chunked source in two passes:
+//! [`Pipeline::run_streamed`] is the one body every identification
+//! entry point runs. It takes a re-streamable chunked source and makes
+//! two passes over it:
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
 //!    (per-ASN latency samples for stage 3, per-`(operator, /24)`
-//!    samples for the strict filter). Accumulators merge in shard
-//!    order, so every bucket holds its samples in record order —
-//!    byte-identical to the serial bucketing the materialized path
-//!    performs.
-//! 2. **Accept pass** — the records are streamed again and each is
+//!    samples for the strict filter). Accumulators merge in chunk
+//!    order, so every bucket holds its samples in record order at any
+//!    chunk length and thread count.
+//! 2. **Accept pass** — the source is streamed again and each record is
 //!    decided through the per-ASN [`AcceptTable`](crate::accept)
 //!    derived from pass 1, emitting per-operator counts plus a compact
 //!    [`AcceptBitmap`] (one bit per record) instead of the dense
 //!    vector, unless the caller opts into it via [`StreamOptions`].
 //!
-//! By default pass 2 re-streams `source` (paying generation twice but
-//! holding nothing). With [`StreamOptions::replay_encoded`] the first
-//! pass also encodes every chunk into the compact binary corpus format
-//! ([`sno_types::codec`], 52 bytes/record) and pass 2 replays those
-//! bytes instead of regenerating — a memory-for-time trade the
-//! bounded-corpus benchmarks opt into.
+//! Stages 3–3c between the passes are a fresh [`StageCache`] derivation
+//! (a cache with nothing memoized *is* the batch derivation). The
+//! other entry points call this body:
+//! [`Pipeline::run`](crate::pipeline::Pipeline::run) over one slice
+//! with dense acceptance, and the online identifier's full-replay and
+//! windowed snapshots over its replay log. Only the incremental online
+//! snapshot derives through a persistent cache, and it builds its
+//! report with the same constructor.
 //!
-//! Peak memory is the per-bucket statistics (latency samples, not
-//! records) plus one generation wave — the corpus itself is never
-//! resident (unless replay is requested). Equivalence with the
-//! materialized path is pinned by `tests/stream_determinism.rs` at
-//! chunk sizes {1, 1024, whole} × threads {1, 2, 8}, with and without
-//! replay.
+//! Pass 2 re-streams `source`, so the corpus itself is never resident:
+//! peak memory is the per-bucket statistics (latency samples, not
+//! records) plus one generation wave. A caller that wants to pay
+//! generation once encodes the corpus itself ([`sno_types::codec`]) and
+//! streams the encoded chunks. Chunk-length and thread-count
+//! independence is pinned by `tests/stream_determinism.rs` at chunk
+//! sizes {1, 1024, whole} × threads {1, 2, 8}, over generated and
+//! encoded sources.
 
 use crate::accept::{AcceptTable, AsnOps};
 use crate::asn_map::{map_asns, AsnMapping};
-use crate::pipeline::Pipeline;
+use crate::pipeline::{DerivedStages, Pipeline, StageCache};
 use crate::prefix_filter::StrictOutcome;
 use crate::validate::AsnProfile;
 use sno_types::chunk::{self, RecordChunks};
-use sno_types::codec;
 use sno_types::records::NdtRecord;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, RecordBatch};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// Chunk length pass 2 decodes at when replaying an encoded corpus
-/// (shared with the online identifier's snapshot replay).
+/// Chunk length for in-memory sources: [`Pipeline::run`]'s slice and
+/// the online identifier's replay log.
 pub(crate) const REPLAY_CHUNK_LEN: usize = 4096;
 
 /// Per-chunk accumulator for the statistics pass: everything stages
@@ -143,25 +143,6 @@ impl CorpusStats {
             CorpusStats::merge,
         )
     }
-
-    /// Accumulate over a columnar batch, in parallel shards merged in
-    /// shard order — the same buckets [`CorpusStats::collect`] builds
-    /// from the equivalent row slice.
-    pub fn collect_batch(mapping: &AsnMapping, batch: &RecordBatch, threads: usize) -> CorpusStats {
-        let index = AsnOps::new(mapping);
-        chunk::accumulate(
-            batch.len(),
-            1024,
-            threads,
-            CorpusStats::new(),
-            |_, range| {
-                let mut stats = CorpusStats::new();
-                stats.observe_batch(&index, batch, range);
-                stats
-            },
-            CorpusStats::merge,
-        )
-    }
 }
 
 /// What the accept pass should keep beyond the catalog.
@@ -174,12 +155,6 @@ pub struct StreamOptions {
     /// Collect accepted latency samples per operator (the Figure 3c
     /// input) during the accept pass.
     pub operator_latencies: bool,
-    /// Encode the statistics pass into the compact binary corpus format
-    /// and replay those bytes in the accept pass instead of re-running
-    /// `source`. Trades ~52 bytes/record of resident memory for paying
-    /// generation once — off by default so the constant-memory
-    /// guarantee holds; benchmarks and bounded corpora opt in.
-    pub replay_encoded: bool,
     /// Emit a heartbeat line to stderr every this many records per pass
     /// (`0` = silent). Heartbeats are record-count based — never
     /// wall-clock — so they cannot perturb determinism; they make a
@@ -303,6 +278,34 @@ impl StreamedReport {
     }
 }
 
+impl StreamedReport {
+    /// Assemble a report from stages 1–3c and an accept pass over
+    /// `records` records: the counts sort into the catalog (by volume
+    /// descending, then operator). The one report constructor — the
+    /// streamed run and the incremental online snapshot both end here.
+    pub(crate) fn assemble(
+        mapping: AsnMapping,
+        stages: DerivedStages,
+        records: usize,
+        pass: AcceptPass,
+    ) -> StreamedReport {
+        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
+        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        StreamedReport {
+            mapping,
+            profiles: stages.profiles,
+            strict: stages.strict,
+            thresholds: stages.thresholds,
+            default_threshold: stages.default_threshold,
+            records,
+            catalog,
+            bitmap: pass.bitmap,
+            accepted: pass.dense,
+            latencies_by_operator: pass.latencies,
+        }
+    }
+}
+
 impl Pipeline {
     /// Run all stages over a re-streamable chunked source in bounded
     /// memory. `source` is called once per pass (statistics, then
@@ -310,8 +313,8 @@ impl Pipeline {
     /// chunked generators rebuilt from a seed satisfy this by
     /// construction.
     ///
-    /// The report is byte-identical to [`Pipeline::run`] over the
-    /// materialized stream, at any chunk length and thread count.
+    /// The report is byte-identical at any chunk length and thread
+    /// count.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn run_streamed<C, F>(&self, source: F, opts: StreamOptions) -> StreamedReport
     where
@@ -323,36 +326,24 @@ impl Pipeline {
         let index = AsnOps::new(&mapping);
 
         // Pass 1: columnarize each chunk and fold it into the
-        // statistics accumulator, optionally encoding the stream for
-        // replay. Chunks are mapped to per-chunk partials on the worker
-        // pool and merged in chunk order on this thread, so every
-        // bucket holds its samples in record order — byte-identical to
-        // the serial fold at any thread count.
+        // statistics accumulator. Chunks are mapped to per-chunk
+        // partials on the worker pool and merged in chunk order on this
+        // thread, so every bucket holds its samples in record order —
+        // byte-identical to the serial fold at any thread count.
         let mut progress = Progress::new(opts.progress_every, "stats pass");
-        let (stats, encoder) = chunk::par_fold_chunks(
+        let stats = chunk::par_fold_chunks(
             source(),
             self.threads,
-            (
-                CorpusStats::new(),
-                opts.replay_encoded.then(codec::Encoder::new),
-            ),
+            CorpusStats::new(),
             |chunk| {
                 let batch = RecordBatch::from_records(chunk);
                 let mut part = CorpusStats::new();
                 part.observe_batch(&index, &batch, 0..batch.len());
-                let encoded = opts.replay_encoded.then(|| {
-                    let mut enc = codec::Encoder::new();
-                    enc.extend_records(chunk);
-                    enc
-                });
-                (part, encoded)
+                part
             },
-            |(stats, mut encoder), (part, part_enc)| {
+            |stats, part| {
                 progress.advance(part.records);
-                if let (Some(enc), Some(part_enc)) = (encoder.as_mut(), part_enc.as_ref()) {
-                    enc.append(part_enc);
-                }
-                (stats.merge(part), encoder)
+                stats.merge(part)
             },
         );
 
@@ -360,39 +351,14 @@ impl Pipeline {
         // per-ASN decision table. The buckets (one f64 per record) are
         // the dominant resident set at paper scale — release them
         // before pass 2 runs.
-        let stages = self.derive_stages(&mapping, &stats);
-        let total_records = stats.records;
+        let stages = StageCache::default().derive(self, &mapping, &stats, 0);
+        let records = stats.records;
         drop(stats);
 
-        // Pass 2: decide each record — replaying the encoded bytes, or
-        // re-streaming the source.
-        let encoded = encoder.map(codec::Encoder::finish);
-        let pass = match &encoded {
-            Some(corpus) => accept_pass(
-                &stages.table,
-                corpus.chunks(REPLAY_CHUNK_LEN),
-                opts,
-                self.threads,
-            ),
-            None => accept_pass(&stages.table, source(), opts, self.threads),
-        };
-        debug_assert_eq!(pass.bitmap.len(), total_records, "source must re-stream");
-
-        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        StreamedReport {
-            mapping,
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: total_records,
-            catalog,
-            bitmap: pass.bitmap,
-            accepted: pass.dense,
-            latencies_by_operator: pass.latencies,
-        }
+        // Pass 2: re-stream the source and decide each record.
+        let pass = accept_pass(&stages.table, source(), opts, self.threads);
+        debug_assert_eq!(pass.bitmap.len(), records, "source must re-stream");
+        StreamedReport::assemble(mapping, stages, records, pass)
     }
 }
 
@@ -615,42 +581,43 @@ mod tests {
     fn corpus_stats_batch_collect_matches_row_collect() {
         let corpus = MlabGenerator::new(small_config()).generate();
         let mapping = map_asns();
+        let index = AsnOps::new(&mapping);
         let serial = CorpusStats::collect(&mapping, &corpus.records, 1);
         let batch = sno_types::RecordBatch::from_records(&corpus.records);
-        for threads in [1, 2, 8] {
-            let columnar = CorpusStats::collect_batch(&mapping, &batch, threads);
-            assert_eq!(columnar.records, serial.records, "threads {threads}");
-            assert_eq!(columnar.by_asn, serial.by_asn, "threads {threads}");
-            assert_eq!(columnar.by_prefix, serial.by_prefix, "threads {threads}");
+        // Column-wise folds over ranges of any length, merged in order.
+        for step in [1usize, 1024, batch.len()] {
+            let mut columnar = CorpusStats::new();
+            for start in (0..batch.len()).step_by(step) {
+                let mut part = CorpusStats::new();
+                part.observe_batch(&index, &batch, start..(start + step).min(batch.len()));
+                columnar = columnar.merge(part);
+            }
+            assert_eq!(columnar.records, serial.records, "step {step}");
+            assert_eq!(columnar.by_asn, serial.by_asn, "step {step}");
+            assert_eq!(columnar.by_prefix, serial.by_prefix, "step {step}");
         }
     }
 
     #[test]
     fn encoded_replay_matches_restreamed_pass() {
         let corpus = MlabGenerator::new(small_config()).generate();
-        let opts_base = StreamOptions {
+        let encoded = sno_types::codec::encode_records(&corpus.records);
+        let opts = StreamOptions {
             dense_acceptance: true,
             operator_latencies: true,
             ..StreamOptions::default()
         };
-        let restreamed =
-            Pipeline::new().run_streamed(|| slice_chunks(&corpus.records, 512), opts_base);
-        let replayed = Pipeline::new().run_streamed(
-            || slice_chunks(&corpus.records, 512),
-            StreamOptions {
-                replay_encoded: true,
-                ..opts_base
-            },
-        );
-        assert_eq!(replayed.records, restreamed.records);
-        assert_eq!(replayed.catalog, restreamed.catalog);
-        assert_eq!(replayed.accepted, restreamed.accepted);
-        assert_eq!(
-            replayed.latencies_by_operator,
-            restreamed.latencies_by_operator
-        );
-        for i in 0..restreamed.records {
-            assert_eq!(replayed.bitmap.get(i), restreamed.bitmap.get(i), "bit {i}");
+        let restreamed = Pipeline::new().run_streamed(|| slice_chunks(&corpus.records, 512), opts);
+        for chunk in [1usize, 512, corpus.records.len()] {
+            for threads in [1usize, 2] {
+                let replayed =
+                    Pipeline::with_threads(threads).run_streamed(|| encoded.chunks(chunk), opts);
+                assert_eq!(
+                    format!("{replayed:?}"),
+                    format!("{restreamed:?}"),
+                    "chunk {chunk} threads {threads}"
+                );
+            }
         }
     }
 

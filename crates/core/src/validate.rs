@@ -19,7 +19,6 @@ use crate::asn_map::AsnMapping;
 use sno_registry::sources::access_of;
 use sno_stats::{Kde, QuantileSketch};
 use sno_types::par;
-use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
 use std::collections::BTreeMap;
 
@@ -95,38 +94,12 @@ pub struct AsnProfile {
 /// Minimum tests before a verdict is attempted.
 pub const MIN_TESTS_FOR_VERDICT: usize = 25;
 
-/// Validate every mapped ASN against the latency profile of its records.
-pub fn validate_asns(
-    mapping: &AsnMapping,
-    records: &[NdtRecord],
-    bands: LatencyBands,
-) -> Vec<AsnProfile> {
-    validate_asns_threaded(mapping, records, bands, 0)
-}
-
-/// [`validate_asns`] with an explicit worker-thread count (`0` = all
-/// cores). Each (operator, ASN) profile is an independent band count,
-/// so the profiles fan out across the pool and merge in mapping order —
-/// the output is identical at every thread count.
-pub fn validate_asns_threaded(
-    mapping: &AsnMapping,
-    records: &[NdtRecord],
-    bands: LatencyBands,
-    threads: usize,
-) -> Vec<AsnProfile> {
-    // Bucket latencies per ASN (serial: one pass over the corpus).
-    let mut by_asn: BTreeMap<Asn, Vec<f64>> = BTreeMap::new();
-    for rec in records {
-        by_asn.entry(rec.asn).or_default().push(rec.latency_p5.0);
-    }
-    profiles_from_buckets(mapping, &by_asn, bands, threads)
-}
-
-/// The profiling half of [`validate_asns_threaded`], starting from
-/// already-bucketed per-ASN latency samples (each bucket in record
-/// order). This is the entry point for the streaming pipeline, whose
-/// per-chunk accumulators build the buckets incrementally; the profiles
-/// fan out across the pool and merge in mapping order.
+/// Validate every mapped ASN from its bucket of latency samples (each
+/// bucket in record order, as [`CorpusStats`](crate::stream::CorpusStats)
+/// accumulates them; an ASN without a bucket has no samples). Each
+/// (operator, ASN) profile is an independent band count, so the
+/// profiles fan out across the pool and merge in mapping order — the
+/// output is identical at every thread count (`0` = all cores).
 pub fn profiles_from_buckets(
     mapping: &AsnMapping,
     by_asn: &BTreeMap<Asn, Vec<f64>>,
@@ -480,7 +453,8 @@ mod tests {
         let corpus =
             sno_synth::MlabGenerator::new(sno_synth::SynthConfig::test_corpus()).generate();
         let mapping = map_asns();
-        let profiles = validate_asns(&mapping, &corpus.records, bands());
+        let stats = crate::stream::CorpusStats::collect(&mapping, &corpus.records, 0);
+        let profiles = profiles_from_buckets(&mapping, &stats.by_asn, bands(), 0);
         let verdict_of = |asn: u32| {
             profiles
                 .iter()

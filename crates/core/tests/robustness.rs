@@ -69,7 +69,7 @@ fn extreme_latencies_do_not_panic() {
 #[test]
 fn identical_records_mass_duplicated() {
     // A /24 stuffed with ten thousand byte-identical GEO tests must pass
-    // the strict filter without numeric issues (zero variance KDE).
+    // the strict filter without numeric issues (zero-variance samples).
     let recs = vec![record(13955, 650.0); 10_000];
     let report = Pipeline::new().run(&recs);
     let accepted = report.accepted.iter().flatten().count();
@@ -80,7 +80,7 @@ fn identical_records_mass_duplicated() {
 #[test]
 fn adversarial_mixture_is_contained() {
     // An attacker-ish ASN profile: a Viasat ASN flooded with terrestrial
-    // latencies. The KDE stage must flag it and the pipeline must drop
+    // latencies. Stage 3 must flag it and the pipeline must drop
     // every record rather than pollute the catalog.
     let recs: Vec<NdtRecord> = (0..500).map(|_| record(25222, 12.0)).collect();
     let report = Pipeline::new().run(&recs);
@@ -128,8 +128,8 @@ fn timestamps_out_of_order_are_fine() {
 
 #[test]
 fn all_operators_simultaneously_terrestrial_collapses_catalog() {
-    // If every mapped ASN suddenly shows terrestrial traffic, the KDE
-    // stage must zero out the whole catalog (fail closed).
+    // If every mapped ASN suddenly shows terrestrial traffic, stage 3
+    // must zero out the whole catalog (fail closed).
     let mut recs = Vec::new();
     for profile in sno_registry::PROFILES {
         for &asn in profile.asns {

@@ -5,9 +5,9 @@
 //! cargo run --release --example identify_snos
 //! ```
 
-use sno_dissect::core::prefix_filter::{relaxed_thresholds, strict_filter};
-use sno_dissect::core::validate::{validate_asns, AsnVerdict, LatencyBands};
-use sno_dissect::core::{asn_map, pipeline::Pipeline};
+use sno_dissect::core::prefix_filter::{relaxed_thresholds, strict_filter_from_buckets};
+use sno_dissect::core::validate::{profiles_from_buckets, AsnVerdict, LatencyBands};
+use sno_dissect::core::{asn_map, pipeline::Pipeline, CorpusStats};
 use sno_dissect::synth::{MlabGenerator, SynthConfig};
 
 fn main() {
@@ -30,9 +30,13 @@ fn main() {
         println!("  {asn}: {why}");
     }
 
-    // Stage 3: KDE validation against the advertised technology.
-    println!("\n== stage 3: KDE latency-profile validation ==");
-    let profiles = validate_asns(&mapping, &corpus.records, LatencyBands::default());
+    // One pass buckets the latencies the next stages read: per ASN for
+    // stage 3, per (operator, /24) for stage 3b.
+    let stats = CorpusStats::collect(&mapping, &corpus.records, 0);
+
+    // Stage 3: latency band masses against the advertised technology.
+    println!("\n== stage 3: latency band-mass validation ==");
+    let profiles = profiles_from_buckets(&mapping, &stats.by_asn, LatencyBands::default(), 0);
     for p in &profiles {
         match &p.verdict {
             AsnVerdict::Outlier(reason) => {
@@ -50,7 +54,7 @@ fn main() {
 
     // Stage 3b: the strict per-/24 filter.
     println!("\n== stage 3b: strict prefix filter ==");
-    let strict = strict_filter(&mapping, &profiles, &corpus.records);
+    let strict = strict_filter_from_buckets(&profiles, &stats.by_prefix, 0);
     println!(
         "retained {} /24s across {} SNOs (examined {}, thin {}, band-violations {})",
         strict.retained.len(),

@@ -304,6 +304,88 @@ proptest! {
         prop_assert!(reparsed.is_ok());
     }
 
+    /// `EncodedCorpus::from_bytes` is total: arbitrary bytes, and a valid
+    /// header and frames followed by a cut, garbage edits, a rewritten
+    /// record count or a garbage tail (optionally behind a valid frame
+    /// length), return `Ok` or `Err` and never panic. Whatever parses
+    /// decodes to exactly its record count, and an untouched encoding
+    /// parses.
+    #[test]
+    fn codec_from_bytes_is_total(
+        raw in prop::collection::vec(any::<u8>(), 0..80),
+        frames in 0..6usize,
+        cut in any::<u64>(),
+        edits in prop::collection::vec((any::<u64>(), any::<u8>()), 0..6),
+        recount in prop::collection::vec(any::<u64>(), 0..2),
+        tail in prop::collection::vec(any::<u8>(), 0..120),
+        framed_tail in any::<bool>(),
+    ) {
+        use sno_dissect::types::chunk::RecordChunks;
+        use sno_dissect::types::codec::{encode_records, EncodedCorpus};
+        let _ = EncodedCorpus::from_bytes(raw);
+
+        const HEADER_LEN: usize = 16;
+        let valid = encode_records(&codec_records(frames)).bytes().to_vec();
+        let mut bytes = valid.clone();
+        bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+        if bytes.len() > HEADER_LEN {
+            let body = bytes.len() - HEADER_LEN;
+            for &(at, b) in &edits {
+                bytes[HEADER_LEN + (at % body as u64) as usize] = b;
+            }
+        }
+        if let (Some(&count), true) = (recount.first(), bytes.len() >= HEADER_LEN) {
+            bytes[8..HEADER_LEN].copy_from_slice(&count.to_le_bytes());
+        }
+        if framed_tail {
+            bytes.extend_from_slice(&48u32.to_le_bytes());
+        }
+        bytes.extend_from_slice(&tail);
+        let untouched = bytes == valid;
+        match EncodedCorpus::from_bytes(bytes) {
+            Ok(corpus) => {
+                let mut decoded = 0usize;
+                let mut chunks = corpus.chunks(3);
+                while let Some(chunk) = chunks.next_chunk() {
+                    decoded += chunk.len();
+                }
+                prop_assert_eq!(decoded, corpus.len());
+            }
+            Err(err) => prop_assert!(!untouched, "a valid encoding failed: {err:?}"),
+        }
+    }
+
+    /// Decoding at any chunk length up to `usize::MAX` reserves no more
+    /// than it fills: every chunk's capacity is at most
+    /// `min(chunk_len, frames remaining)`, and every chunk but the last
+    /// is full.
+    #[test]
+    fn codec_chunks_reserve_at_most_the_frames_left(
+        frames in 0..80usize,
+        chunk_len in prop_oneof![
+            1..100usize,
+            1..=usize::MAX,
+            (usize::MAX - 4)..=usize::MAX,
+        ],
+    ) {
+        use sno_dissect::types::chunk::RecordChunks;
+        let chunk_len: usize = *chunk_len;
+        let corpus = sno_dissect::types::codec::encode_records(&codec_records(frames));
+        let mut remaining = frames;
+        let mut chunks = corpus.chunks(chunk_len);
+        while let Some(chunk) = chunks.next_chunk() {
+            let bound = chunk_len.min(remaining);
+            prop_assert!(
+                chunk.capacity() <= bound,
+                "capacity {} > min({chunk_len}, {remaining})",
+                chunk.capacity()
+            );
+            prop_assert_eq!(chunk.len(), bound);
+            remaining -= chunk.len();
+        }
+        prop_assert_eq!(remaining, 0);
+    }
+
     /// The batched (windowed) KDE grid is bitwise-identical to the
     /// naive pointwise density at every grid point: skipped kernel
     /// terms underflow to +0.0, which is an exact no-op in the sum.
@@ -412,4 +494,20 @@ fn hostile_latency(edges: &[f64], kind: u32, x: f64, i: usize) -> f64 {
         4 => f64::INFINITY,
         _ => x,
     }
+}
+
+/// `n` distinct records for the codec properties.
+fn codec_records(n: usize) -> Vec<sno_dissect::types::records::NdtRecord> {
+    use sno_dissect::types::{Asn, Mbps, Millis, Timestamp};
+    (0..n)
+        .map(|i| sno_dissect::types::records::NdtRecord {
+            timestamp: Timestamp(i as u64),
+            client: Ipv4::new(10, 0, 0, i as u8),
+            asn: Asn(i as u32),
+            latency_p5: Millis(600.0 + i as f64),
+            jitter_p95: Millis(12.0),
+            retrans_fraction: 0.01,
+            download: Mbps(10.0),
+        })
+        .collect()
 }

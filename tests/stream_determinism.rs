@@ -11,6 +11,7 @@ use sno_dissect::core::pipeline::Pipeline;
 use sno_dissect::core::stream::StreamOptions;
 use sno_dissect::synth::{AtlasGenerator, MlabGenerator, SynthConfig};
 use sno_dissect::types::chunk::RecordChunks;
+use sno_dissect::types::codec;
 
 /// A chunk length larger than any corpus here: one chunk per stream.
 const WHOLE: usize = 1 << 30;
@@ -99,19 +100,19 @@ fn streamed_pipeline_identical_across_chunk_and_thread_matrix() {
 
 #[test]
 fn encoded_replay_identical_across_chunk_and_thread_matrix() {
-    // `replay_encoded` swaps pass 2's regeneration for a decode of the
-    // compact binary corpus buffered in pass 1; the report must not
-    // change by a bit anywhere in the matrix.
+    // A corpus encoded once to the compact binary format and replayed
+    // through the streamed pipeline (the path a caller takes to pay
+    // generation once) must not change the report by a bit anywhere in
+    // the matrix.
     let corpus = MlabGenerator::new(cfg(7, 0)).generate();
+    let encoded = codec::encode_records(&corpus.records);
     let materialized = Pipeline::with_threads(1).run(&corpus.records);
     for chunk in [1usize, 1024, WHOLE] {
         for threads in [1usize, 2, 8] {
-            let generator = MlabGenerator::new(cfg(7, threads));
             let streamed = Pipeline::with_threads(threads).run_streamed(
-                || generator.generate_chunks(chunk),
+                || encoded.chunks(chunk),
                 StreamOptions {
                     dense_acceptance: true,
-                    replay_encoded: true,
                     ..StreamOptions::default()
                 },
             );
