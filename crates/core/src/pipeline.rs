@@ -97,11 +97,11 @@ pub(crate) struct DerivedStages {
 ///
 /// A fresh cache (`StageCache::default()`) evaluates every ASN profile
 /// and every strict prefix bucket: that is the batch derivation
-/// [`Pipeline::run_streamed`] runs between its passes. The online identifier keeps one cache
-/// across snapshots, where re-evaluating every bucket would be the
-/// O(corpus) cost it is built to avoid. The cache exploits that both
-/// stages decompose into pure per-bucket evaluations over
-/// *append-only* buckets:
+/// [`Pipeline::run_streamed`] runs between its passes. The online
+/// identifier keeps one cache across snapshots, where re-evaluating
+/// every bucket would be the O(corpus) cost it is built to avoid. The
+/// cache exploits that both stages decompose into pure per-bucket
+/// evaluations over *append-only* buckets:
 ///
 /// - a per-ASN profile depends only on that ASN's latency bucket, so an
 ///   unchanged sample count means an unchanged profile;
