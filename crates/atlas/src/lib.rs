@@ -21,10 +21,7 @@ pub mod popmap;
 pub mod root_dns;
 pub mod summary;
 
-pub use pop_changes::{
-    cert_buckets_from_chunks, detect_all_pop_changes, detect_all_pop_changes_in_series,
-    detect_all_pop_changes_streamed, detect_pop_changes, PopChange, PopChangeMonitor,
-};
+pub use pop_changes::{detect_all_pop_changes, detect_pop_changes, PopChange};
 pub use pop_rtt::{
     pop_rtt_by_country, pop_rtt_by_state, pop_rtt_series_by_probe, pop_rtt_series_from_chunks,
     ProbeIndex, ProbeInfo,

@@ -6,7 +6,7 @@
 //! shift against the reverse-DNS PoP history, attributing the shift to a
 //! PoP change when one happened nearby in time.
 
-use crate::pop_rtt::{pop_rtt_series, pop_rtt_series_by_probe, pop_rtt_series_from_chunks};
+use crate::pop_rtt::{pop_rtt_series, pop_rtt_series_from_chunks};
 use crate::popmap::{pop_history, PopLink};
 use sno_stats::OnlineShiftDetector;
 use sno_types::chunk::RecordChunks;
@@ -56,41 +56,23 @@ pub fn detect_pop_changes(
     )
 }
 
-/// Detect PoP changes for **every** probe: one pass buckets all RTT
-/// series and SSLCert histories, then the per-probe segmentations run
-/// on the worker pool (`threads`, `0` = all cores). Results merge in
-/// ascending probe order, so the output is identical at every thread
-/// count — and identical to calling [`detect_pop_changes`] per probe,
-/// without its per-probe rescan of the whole corpus.
-pub fn detect_all_pop_changes(
-    traceroutes: &[TracerouteRecord],
-    sslcerts: &[SslCertRecord],
-    resolve: impl Fn(Ipv4) -> Option<String> + Sync,
-    min_shift_ms: f64,
-    min_segment: usize,
-    threads: usize,
-) -> Vec<PopChange> {
-    detect_all_pop_changes_in_series(
-        &pop_rtt_series_by_probe(traceroutes),
-        sslcerts,
-        resolve,
-        min_shift_ms,
-        min_segment,
-        threads,
-    )
-}
-
-/// [`detect_all_pop_changes`] over chunked traceroute *and* SSLCert
-/// streams: only the per-probe RTT series and per-probe cert histories
-/// are ever resident, never a record corpus. The series builder is
-/// order-insensitive (stable per-series timestamp sort) and cert
-/// bucketing preserves each probe's arrival order, so the result is
-/// byte-identical to the materialized call for any stream whose
-/// per-probe cert subsequences match the materialized corpus (the
-/// synthesizer's chunked and sorted forms both deliver each probe's
-/// certs chronologically).
-pub fn detect_all_pop_changes_streamed<C, D>(
-    stream: C,
+/// Detect PoP changes for **every** probe, over chunked traceroute and
+/// SSLCert streams. One pass buckets the RTT series per probe and
+/// another the cert histories; only those buckets are ever resident,
+/// never a record corpus. The per-probe segmentations then run on the
+/// worker pool (`threads`, `0` = all cores) and merge in ascending
+/// probe order, so the output is identical at every thread count — and
+/// identical to calling [`detect_pop_changes`] per probe, without its
+/// per-probe rescan of the whole corpus.
+///
+/// A materialized corpus streams through `slice_chunks`. The series
+/// builder stably sorts each probe's series by timestamp and cert
+/// bucketing keeps each probe's arrival order, so any stream whose
+/// per-probe cert subsequences match the materialized corpus gives the
+/// same result (the synthesizer's chunked and sorted forms both deliver
+/// each probe's certs chronologically).
+pub fn detect_all_pop_changes<C, D>(
+    traceroutes: C,
     sslcerts: D,
     resolve: impl Fn(Ipv4) -> Option<String> + Sync,
     min_shift_ms: f64,
@@ -101,67 +83,8 @@ where
     C: RecordChunks<Item = TracerouteRecord>,
     D: RecordChunks<Item = SslCertRecord>,
 {
-    detect_in_buckets(
-        &pop_rtt_series_from_chunks(stream),
-        &cert_buckets_from_chunks(sslcerts),
-        resolve,
-        min_shift_ms,
-        min_segment,
-        threads,
-    )
-}
-
-/// Bucket a materialized cert corpus per probe, preserving order.
-fn cert_buckets(sslcerts: &[SslCertRecord]) -> BTreeMap<ProbeId, Vec<SslCertRecord>> {
-    let mut certs: BTreeMap<ProbeId, Vec<SslCertRecord>> = BTreeMap::new();
-    for s in sslcerts {
-        certs.entry(s.probe).or_default().push(*s);
-    }
-    certs
-}
-
-/// Bucket a chunked cert stream per probe without materializing it.
-pub fn cert_buckets_from_chunks<D>(stream: D) -> BTreeMap<ProbeId, Vec<SslCertRecord>>
-where
-    D: RecordChunks<Item = SslCertRecord>,
-{
-    stream.fold_records(BTreeMap::new(), |mut certs: BTreeMap<_, Vec<_>>, s| {
-        certs.entry(s.probe).or_default().push(s);
-        certs
-    })
-}
-
-/// The shared core of the all-probe detectors: per-probe segmentations
-/// run on the worker pool over pre-built RTT series, merged in
-/// ascending probe order.
-pub fn detect_all_pop_changes_in_series(
-    series: &BTreeMap<ProbeId, Vec<(Timestamp, f64)>>,
-    sslcerts: &[SslCertRecord],
-    resolve: impl Fn(Ipv4) -> Option<String> + Sync,
-    min_shift_ms: f64,
-    min_segment: usize,
-    threads: usize,
-) -> Vec<PopChange> {
-    detect_in_buckets(
-        series,
-        &cert_buckets(sslcerts),
-        resolve,
-        min_shift_ms,
-        min_segment,
-        threads,
-    )
-}
-
-/// Innermost core: RTT series and cert histories already bucketed per
-/// probe.
-fn detect_in_buckets(
-    series: &BTreeMap<ProbeId, Vec<(Timestamp, f64)>>,
-    certs: &BTreeMap<ProbeId, Vec<SslCertRecord>>,
-    resolve: impl Fn(Ipv4) -> Option<String> + Sync,
-    min_shift_ms: f64,
-    min_segment: usize,
-    threads: usize,
-) -> Vec<PopChange> {
+    let series = pop_rtt_series_from_chunks(traceroutes);
+    let certs = cert_buckets_from_chunks(sslcerts);
     let probes: Vec<&ProbeId> = series.keys().collect();
     let per_probe = par::shard_map(probes.len(), threads, |i| {
         let probe = *probes[i];
@@ -174,13 +97,22 @@ fn detect_in_buckets(
     per_probe.into_iter().flatten().collect()
 }
 
+/// Bucket a chunked cert stream per probe, preserving arrival order.
+fn cert_buckets_from_chunks<D>(stream: D) -> BTreeMap<ProbeId, Vec<SslCertRecord>>
+where
+    D: RecordChunks<Item = SslCertRecord>,
+{
+    stream.fold_records(BTreeMap::new(), |mut certs: BTreeMap<_, Vec<_>>, s| {
+        certs.entry(s.probe).or_default().push(s);
+        certs
+    })
+}
+
 /// Segment one probe's RTT series and attribute the shifts.
 ///
-/// Runs through the *online* changepoint detector
+/// Runs through the changepoint detector
 /// ([`sno_stats::OnlineShiftDetector`]), which replays the batch
-/// segmentation over its buffered window — so the batch entry points and
-/// the incremental [`PopChangeMonitor`] share one detection path with
-/// identical results.
+/// segmentation over its buffered window.
 fn detect_in_series(
     series: &[(Timestamp, f64)],
     probe: ProbeId,
@@ -212,102 +144,6 @@ fn detect_in_series(
         .collect()
 }
 
-/// Incremental front-end to [`detect_all_pop_changes`]: ingest
-/// traceroute and SSLCert chunks as they arrive, detect on demand.
-///
-/// Only the per-probe `(timestamp, rtt)` series and the cert records are
-/// resident — never the traceroutes. Monitors built over disjoint shards
-/// of a stream [`merge`](PopChangeMonitor::merge) into the state serial
-/// ingest builds, and [`detect`](PopChangeMonitor::detect) stably sorts
-/// each series by timestamp before segmenting (exactly as the batch
-/// series builders do), so detection over any ingest sharding is
-/// identical to [`detect_all_pop_changes`] over the materialized corpus.
-#[derive(Debug, Clone, Default)]
-pub struct PopChangeMonitor {
-    series: BTreeMap<ProbeId, Vec<(Timestamp, f64)>>,
-    sslcerts: Vec<SslCertRecord>,
-}
-
-impl PopChangeMonitor {
-    /// An empty monitor.
-    pub fn new() -> PopChangeMonitor {
-        PopChangeMonitor::default()
-    }
-
-    /// Ingest one chunk of traceroutes: each record's CGNAT-gateway RTT
-    /// (when present) joins its probe's series.
-    pub fn ingest_traceroutes(&mut self, chunk: &[TracerouteRecord]) {
-        for t in chunk {
-            if let Some(rtt) = t.cgnat_rtt() {
-                self.series
-                    .entry(t.probe)
-                    .or_default()
-                    .push((t.timestamp, rtt.0));
-            }
-        }
-    }
-
-    /// Drain a chunked traceroute stream into the monitor.
-    pub fn ingest_traceroute_chunks<C>(&mut self, mut stream: C)
-    where
-        C: RecordChunks<Item = TracerouteRecord>,
-    {
-        while let Some(chunk) = stream.next_chunk() {
-            self.ingest_traceroutes(&chunk);
-        }
-    }
-
-    /// Ingest one chunk of SSLCert observations (the PoP-history side).
-    pub fn ingest_sslcerts(&mut self, certs: &[SslCertRecord]) {
-        self.sslcerts.extend_from_slice(certs);
-    }
-
-    /// Merge another monitor (built over the *following* shard of the
-    /// stream) into this one.
-    pub fn merge(&mut self, other: PopChangeMonitor) {
-        for (probe, mut samples) in other.series {
-            self.series.entry(probe).or_default().append(&mut samples);
-        }
-        self.sslcerts.extend_from_slice(&other.sslcerts);
-    }
-
-    /// Probes with at least one RTT sample.
-    pub fn probes(&self) -> usize {
-        self.series.len()
-    }
-
-    /// RTT samples ingested across all probes.
-    pub fn samples(&self) -> usize {
-        self.series.values().map(Vec::len).sum()
-    }
-
-    /// Detect and attribute PoP changes over everything ingested so
-    /// far. Identical to [`detect_all_pop_changes`] over the
-    /// materialized corpus, at every thread count.
-    pub fn detect(
-        &self,
-        resolve: impl Fn(Ipv4) -> Option<String> + Sync,
-        min_shift_ms: f64,
-        min_segment: usize,
-        threads: usize,
-    ) -> Vec<PopChange> {
-        let mut series = self.series.clone();
-        for s in series.values_mut() {
-            // Stable sort, as in `pop_rtt_series_by_probe`, so any
-            // ingest sharding converges on the same series.
-            s.sort_by_key(|&(ts, _)| ts);
-        }
-        detect_all_pop_changes_in_series(
-            &series,
-            &self.sslcerts,
-            resolve,
-            min_shift_ms,
-            min_segment,
-            threads,
-        )
-    }
-}
-
 /// Find the PoP transition nearest to `at`, within the attribution
 /// window.
 fn attribute(history: &[PopLink], at: Timestamp) -> Option<(&'static str, &'static str)> {
@@ -327,6 +163,7 @@ mod tests {
     use super::*;
     use crate::pop_rtt::tests::corpus;
     use crate::popmap::pop_history;
+    use sno_types::chunk::slice_chunks;
     use sno_types::records::CountryCode;
 
     fn changes_for(probe: ProbeId) -> Vec<PopChange> {
@@ -405,23 +242,33 @@ mod tests {
         assert!(changes.is_empty());
     }
 
+    fn assert_same_changes(got: &[PopChange], expect: &[PopChange], what: &str) {
+        assert_eq!(got.len(), expect.len(), "{what}");
+        for (a, b) in got.iter().zip(expect) {
+            assert_eq!((a.probe, a.at, a.pops), (b.probe, b.at, b.pops), "{what}");
+            assert_eq!(a.before_ms, b.before_ms, "{what}");
+            assert_eq!(a.after_ms, b.after_ms, "{what}");
+        }
+    }
+
     #[test]
     fn streamed_detection_matches_materialized() {
         use sno_synth::{AtlasGenerator, SynthConfig};
         let c = corpus();
-        let expect = detect_all_pop_changes(
-            &c.traceroutes,
-            &c.sslcerts,
-            sno_synth::atlas::reverse_dns,
-            8.0,
-            8,
-            1,
-        );
         for (chunk_len, threads) in [(512usize, 1usize), (usize::MAX, 2)] {
+            let expect = detect_all_pop_changes(
+                slice_chunks(&c.traceroutes, chunk_len),
+                slice_chunks(&c.sslcerts, chunk_len),
+                sno_synth::atlas::reverse_dns,
+                8.0,
+                8,
+                threads,
+            );
+            assert!(!expect.is_empty());
             let mut config = SynthConfig::test_corpus();
             config.threads = threads;
             let gen = AtlasGenerator::new(config);
-            let got = detect_all_pop_changes_streamed(
+            let got = detect_all_pop_changes(
                 gen.traceroute_chunks(chunk_len),
                 gen.sslcert_chunks(chunk_len),
                 sno_synth::atlas::reverse_dns,
@@ -429,95 +276,32 @@ mod tests {
                 8,
                 threads,
             );
-            assert_eq!(
-                got.len(),
-                expect.len(),
-                "chunk {chunk_len} threads {threads}"
+            assert_same_changes(
+                &got,
+                &expect,
+                &format!("chunk {chunk_len} threads {threads}"),
             );
-            for (a, b) in got.iter().zip(&expect) {
-                assert_eq!((a.probe, a.at, a.pops), (b.probe, b.at, b.pops));
-                assert_eq!(a.before_ms, b.before_ms);
-                assert_eq!(a.after_ms, b.after_ms);
-            }
-        }
-    }
-
-    #[test]
-    fn monitor_matches_batch_detection() {
-        let c = corpus();
-        let expect = detect_all_pop_changes(
-            &c.traceroutes,
-            &c.sslcerts,
-            sno_synth::atlas::reverse_dns,
-            8.0,
-            8,
-            1,
-        );
-        assert!(!expect.is_empty());
-        // Chunked serial ingest.
-        let mut monitor = PopChangeMonitor::new();
-        for chunk in c.traceroutes.chunks(517) {
-            monitor.ingest_traceroutes(chunk);
-        }
-        for chunk in c.sslcerts.chunks(64) {
-            monitor.ingest_sslcerts(chunk);
-        }
-        assert_eq!(
-            monitor.samples(),
-            pop_rtt_series_by_probe(&c.traceroutes)
-                .values()
-                .map(Vec::len)
-                .sum::<usize>()
-        );
-        // Sharded ingest merged in shard order.
-        let bounds = [0, c.traceroutes.len() / 3, c.traceroutes.len()];
-        let shards: Vec<PopChangeMonitor> = par::shard_map(2, 2, |i| {
-            let mut shard = PopChangeMonitor::new();
-            shard.ingest_traceroutes(&c.traceroutes[bounds[i]..bounds[i + 1]]);
-            shard
-        });
-        let mut merged = PopChangeMonitor::new();
-        for shard in shards {
-            merged.merge(shard);
-        }
-        merged.ingest_sslcerts(&c.sslcerts);
-        assert_eq!(merged.probes(), monitor.probes());
-        for (threads, m) in [(1usize, &monitor), (2, &merged), (8, &monitor)] {
-            let got = m.detect(sno_synth::atlas::reverse_dns, 8.0, 8, threads);
-            assert_eq!(got.len(), expect.len(), "threads {threads}");
-            for (a, b) in got.iter().zip(&expect) {
-                assert_eq!((a.probe, a.at, a.pops), (b.probe, b.at, b.pops));
-                assert_eq!(a.before_ms, b.before_ms);
-                assert_eq!(a.after_ms, b.after_ms);
-            }
         }
     }
 
     #[test]
     fn all_probe_detection_matches_per_probe_loop() {
         let c = corpus();
+        let mut expect = Vec::new();
+        for p in &c.probes {
+            let history = pop_history(&c.sslcerts, p.id, sno_synth::atlas::reverse_dns);
+            expect.extend(detect_pop_changes(&c.traceroutes, p.id, &history, 8.0, 8));
+        }
         for threads in [1, 2, 8] {
             let all = detect_all_pop_changes(
-                &c.traceroutes,
-                &c.sslcerts,
+                slice_chunks(&c.traceroutes, 4096),
+                slice_chunks(&c.sslcerts, 4096),
                 sno_synth::atlas::reverse_dns,
                 8.0,
                 8,
                 threads,
             );
-            let mut expect = Vec::new();
-            for p in &c.probes {
-                let history = pop_history(&c.sslcerts, p.id, sno_synth::atlas::reverse_dns);
-                expect.extend(detect_pop_changes(&c.traceroutes, p.id, &history, 8.0, 8));
-            }
-            assert_eq!(all.len(), expect.len(), "threads {threads}");
-            for (a, b) in all.iter().zip(&expect) {
-                assert_eq!(a.probe, b.probe);
-                assert_eq!(a.at, b.at);
-                assert_eq!(a.before_ms, b.before_ms);
-                assert_eq!(a.after_ms, b.after_ms);
-                assert_eq!(a.pops, b.pops);
-            }
+            assert_same_changes(&all, &expect, &format!("threads {threads}"));
         }
     }
 }

@@ -9,7 +9,7 @@
 use crate::context::ReproContext;
 use sno_core::analysis;
 use sno_core::validate::{kde_modes, AsnVerdict};
-use sno_types::chunk::RecordChunks as _;
+use sno_types::chunk::{slice_chunks, RecordChunks as _};
 use sno_types::records::CountryCode;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, Rng};
 use std::fmt::Write as _;
@@ -653,7 +653,7 @@ fn fig8b(ctx: &ReproContext) -> String {
         // Chunked traceroute + SSLCert streams: only the per-probe RTT
         // series and cert histories are ever resident, never a corpus.
         let generator = sno_synth::AtlasGenerator::new(ctx.config().clone());
-        let changes = sno_atlas::detect_all_pop_changes_streamed(
+        let changes = sno_atlas::detect_all_pop_changes(
             generator.traceroute_chunks(ctx.chunk_len()),
             generator.sslcert_chunks(ctx.chunk_len()),
             sno_synth::atlas::reverse_dns,
@@ -674,8 +674,8 @@ fn fig8b(ctx: &ReproContext) -> String {
     } else {
         let atlas = ctx.atlas();
         let changes = sno_atlas::detect_all_pop_changes(
-            &atlas.traceroutes,
-            &atlas.sslcerts,
+            slice_chunks(&atlas.traceroutes, ctx.chunk_len()),
+            slice_chunks(&atlas.sslcerts, ctx.chunk_len()),
             sno_synth::atlas::reverse_dns,
             8.0,
             8,

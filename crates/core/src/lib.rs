@@ -46,7 +46,7 @@ pub use accept::{AcceptTable, AsnOps};
 pub use accuracy::{attribution_accuracy, score, Confusion};
 pub use analysis::{jitter_by_orbit, latency_by_operator, retransmissions, stability, OrbitGroup};
 pub use asn_map::{map_asns, AsnMapping};
-pub use online::{OnlineIdentifier, PopFlag};
+pub use online::OnlineIdentifier;
 pub use pipeline::{Pipeline, PipelineReport};
 pub use prefix_filter::{relaxed_thresholds, strict_filter_from_buckets, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};

@@ -10,16 +10,14 @@
 //! * **Ingest** — each arriving chunk is columnarized and folded into the
 //!   same [`CorpusStats`] accumulator the streamed pipeline uses (per-ASN
 //!   latency buckets for stage-3 validation, per-`(operator, /24)` buckets
-//!   for the strict filter), appended to a compact codec replay log
-//!   (~52 bytes/record), and tracked in per-operator latency sketches and
-//!   `(timestamp, latency)` buckets for the PoP-change flags. Every
-//!   ingest step is O(chunk), never O(corpus).
+//!   for the strict filter) and appended to a compact codec replay log
+//!   (~52 bytes/record). A windowed identifier keeps only the log (see
+//!   below). Every ingest step is O(chunk), never O(corpus).
 //! * **Merge** — identifiers built over disjoint shards of a stream merge
 //!   in shard order into the exact state serial ingest would have built:
-//!   `CorpusStats::merge` appends buckets, the replay logs concatenate
-//!   byte-wise, and the [`QuantileSketch`]es are ingest-order-invariant
-//!   by construction. This is what lets `sno_types::par` shard the ingest
-//!   across threads without changing a single output byte. The absorbed
+//!   `CorpusStats::merge` appends buckets and the replay logs
+//!   concatenate byte-wise. This is what lets `sno_types::par` shard the
+//!   ingest across threads without changing a single output byte. The absorbed
 //!   shard must be *raw* — never compacted or evicted — because its
 //!   frames land in the middle of the merged stream, where dropped bytes
 //!   could no longer be re-decided on an epoch bump (merge-then-compact
@@ -65,24 +63,9 @@ use crate::pipeline::{Pipeline, StageCache};
 use crate::stream::{
     accept_pass, AcceptPass, CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN,
 };
-use crate::validate::{profile_from_sketch, AsnProfile};
-use sno_stats::{daily_medians, OnlineShiftDetector, QuantileSketch, Shift};
 use sno_types::chunk::slice_chunks;
 use sno_types::records::NdtRecord;
-use sno_types::{codec, Asn, Operator, RecordBatch, Timestamp, UtcDay};
-use std::collections::BTreeMap;
-
-/// An incrementally flagged PoP-style level shift in one operator's
-/// daily-median latency series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PopFlag {
-    /// The operator whose series shifted.
-    pub operator: Operator,
-    /// The first day after the change.
-    pub day: UtcDay,
-    /// The underlying mean shift (indices into the daily-median series).
-    pub shift: Shift,
-}
+use sno_types::{codec, RecordBatch, Timestamp};
 
 /// Incremental SNO identification over an arriving measurement stream.
 /// See the module docs for the state layout and merge contract.
@@ -107,11 +90,6 @@ pub struct OnlineIdentifier {
     evicted: usize,
     window_secs: Option<u64>,
     latest: Option<Timestamp>,
-    by_operator: BTreeMap<Operator, Vec<(Timestamp, f64)>>,
-    sketches: BTreeMap<Operator, QuantileSketch>,
-    /// Per-ASN latency sketches for buffer-free verdict validation,
-    /// when [`OnlineIdentifier::track_asn_sketches`] opted in.
-    asn_sketches: Option<BTreeMap<Asn, QuantileSketch>>,
     cache: StageCache,
     accept: AcceptState,
 }
@@ -134,9 +112,6 @@ impl OnlineIdentifier {
             evicted: 0,
             window_secs: None,
             latest: None,
-            by_operator: BTreeMap::new(),
-            sketches: BTreeMap::new(),
-            asn_sketches: None,
             cache: StageCache::default(),
             accept: AcceptState::new(),
         }
@@ -152,64 +127,22 @@ impl OnlineIdentifier {
         }
     }
 
-    /// Also maintain per-ASN latency sketches at ingest — the input to
-    /// [`OnlineIdentifier::sketch_profiles`]. Call before the first
-    /// ingest (records already absorbed are not back-filled).
-    pub fn track_asn_sketches(&mut self) {
-        if self.asn_sketches.is_none() {
-            self.asn_sketches = Some(BTreeMap::new());
-        }
-    }
-
     /// Ingest one chunk of records in arrival order.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn ingest(&mut self, records: &[NdtRecord]) {
-        let batch = RecordBatch::from_records(records);
+        // A windowed identifier never reads the cumulative statistics
+        // (every snapshot re-derives from the retained log), so it
+        // skips accumulating them — the buckets would otherwise grow
+        // with the whole stream, defeating the window's memory bound.
         if self.window_secs.is_none() {
+            let batch = RecordBatch::from_records(records);
             self.stats
                 .observe_batch(&self.index, &batch, 0..batch.len());
             self.stats_rev += 1;
         }
         self.log.extend_records(records);
         self.ingested += records.len();
-        self.track(&batch);
-    }
-
-    /// Ingest one columnar batch in arrival order.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn ingest_batch(&mut self, batch: &RecordBatch) {
-        // A windowed identifier never reads the cumulative statistics
-        // (every snapshot re-derives from the retained log), so it
-        // skips accumulating them — the buckets would otherwise grow
-        // with the whole stream, defeating the window's memory bound.
-        if self.window_secs.is_none() {
-            self.stats.observe_batch(&self.index, batch, 0..batch.len());
-            self.stats_rev += 1;
-        }
-        for i in 0..batch.len() {
-            self.log.push(&batch.record(i));
-        }
-        self.ingested += batch.len();
-        self.track(batch);
-    }
-
-    /// Per-record tracking shared by the ingest paths: newest timestamp,
-    /// per-operator PoP-flag samples and latency sketches.
-    fn track(&mut self, batch: &RecordBatch) {
-        let timestamps = batch.timestamps();
-        let latencies = batch.latency_p5();
-        for ((&ts, &asn), &lat) in timestamps.iter().zip(batch.asns()).zip(latencies) {
-            if self.latest.is_none_or(|t| ts > t) {
-                self.latest = Some(ts);
-            }
-            if let Some(op) = self.index.get(asn) {
-                self.by_operator.entry(op).or_default().push((ts, lat));
-                self.sketches.entry(op).or_default().push(lat);
-                if let Some(by_asn) = self.asn_sketches.as_mut() {
-                    by_asn.entry(asn).or_default().push(lat);
-                }
-            }
-        }
+        self.latest = self.latest.max(records.iter().map(|r| r.timestamp).max());
     }
 
     /// Merge another identifier (built over the *following* shard of the
@@ -238,22 +171,7 @@ impl OnlineIdentifier {
         self.stats_rev += 1;
         self.log.append(&other.log);
         self.ingested += other.ingested;
-        if let Some(ts) = other.latest {
-            if self.latest.is_none_or(|t| ts > t) {
-                self.latest = Some(ts);
-            }
-        }
-        for (op, mut samples) in other.by_operator {
-            self.by_operator.entry(op).or_default().append(&mut samples);
-        }
-        for (op, sketch) in other.sketches {
-            self.sketches.entry(op).or_default().merge(&sketch);
-        }
-        if let (Some(mine), Some(theirs)) = (self.asn_sketches.as_mut(), other.asn_sketches) {
-            for (asn, sketch) in theirs {
-                mine.entry(asn).or_default().merge(&sketch);
-            }
-        }
+        self.latest = self.latest.max(other.latest);
         if other.accept.decided() > 0 {
             // Both sides have decided frames. Concatenating the accept
             // passes equals the serial pass only when self was fully
@@ -301,34 +219,6 @@ impl OnlineIdentifier {
     /// The newest timestamp ingested.
     pub fn latest(&self) -> Option<Timestamp> {
         self.latest
-    }
-
-    /// Per-operator streaming latency sketches over every *mapped*
-    /// record (stage 1–2 attribution, before per-record filtering) —
-    /// the input to `analysis::latency_table_from_sketches`.
-    pub fn latency_sketches(&self) -> &BTreeMap<Operator, QuantileSketch> {
-        &self.sketches
-    }
-
-    /// Per-ASN profiles validated against the streaming sketches
-    /// instead of retained latency buffers — `None` unless
-    /// [`OnlineIdentifier::track_asn_sketches`] was enabled. Verdicts
-    /// agree with the buffer-backed counted masses up to the sketch's
-    /// bin resolution (see `validate::profile_from_sketch`).
-    pub fn sketch_profiles(&self) -> Option<Vec<AsnProfile>> {
-        let by_asn = self.asn_sketches.as_ref()?;
-        let empty = QuantileSketch::default();
-        Some(
-            self.mapping
-                .mapping
-                .iter()
-                .flat_map(|(&op, asns)| asns.iter().map(move |&asn| (op, asn)))
-                .map(|(op, asn)| {
-                    let sketch = by_asn.get(&asn).unwrap_or(&empty);
-                    profile_from_sketch(op, asn, sketch, self.pipeline.bands)
-                })
-                .collect(),
-        )
     }
 
     /// Render the current state through the standard report path. The
@@ -493,39 +383,12 @@ impl OnlineIdentifier {
             self.evicted += expired;
         }
     }
-
-    /// Incrementally flagged PoP-style level shifts: per operator, the
-    /// daily-median latency series of every mapped record is replayed
-    /// through the online changepoint detector with the given
-    /// thresholds. Flags are sorted by operator, then day.
-    pub fn pop_flags(&self, min_shift_ms: f64, min_segment: usize) -> Vec<PopFlag> {
-        let mut flags = Vec::new();
-        for (&op, samples) in &self.by_operator {
-            let daily = daily_medians(samples);
-            if daily.len() < 2 * min_segment {
-                continue;
-            }
-            let mut detector = OnlineShiftDetector::new(min_shift_ms, min_segment);
-            for point in &daily {
-                detector.push(point.median);
-            }
-            for shift in detector.shifts() {
-                flags.push(PopFlag {
-                    operator: op,
-                    day: daily[shift.index].day,
-                    shift,
-                });
-            }
-        }
-        flags
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sno_types::chunk::{slice_chunks, RecordChunks};
-    use sno_types::{Asn, Ipv4, Mbps, Millis};
 
     fn small_config() -> sno_synth::SynthConfig {
         sno_synth::SynthConfig {
@@ -630,21 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_ingest_matches_row_ingest() {
-        let records = corpus();
-        let mut rows = OnlineIdentifier::new(Pipeline::new());
-        let mut batches = OnlineIdentifier::new(Pipeline::new());
-        for chunk in records.chunks(777) {
-            rows.ingest(chunk);
-            batches.ingest_batch(&RecordBatch::from_records(chunk));
-        }
-        let opts = StreamOptions::default();
-        assert_reports_equal(&rows.snapshot(opts), &batches.snapshot(opts));
-        assert_eq!(rows.latency_sketches(), batches.latency_sketches());
-        assert_eq!(rows.latest(), batches.latest());
-    }
-
-    #[test]
     fn sharded_merge_matches_serial_ingest() {
         let records = corpus();
         let mut serial = OnlineIdentifier::new(Pipeline::new());
@@ -661,7 +509,6 @@ mod tests {
             merged.merge(shard);
         }
         assert_eq!(merged.ingested(), serial.ingested());
-        assert_eq!(merged.latency_sketches(), serial.latency_sketches());
         let opts = StreamOptions {
             dense_acceptance: true,
             ..StreamOptions::default()
@@ -734,59 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_profiles_cover_the_curated_pairs() {
-        let records = corpus();
-        let mut online = OnlineIdentifier::new(Pipeline::new());
-        assert!(online.sketch_profiles().is_none(), "opt-in only");
-        online.track_asn_sketches();
-        online.ingest(&records);
-        let sketched = online.sketch_profiles().expect("tracking enabled");
-        let report = online.snapshot(StreamOptions::default());
-        assert_eq!(sketched.len(), report.profiles.len());
-        let mut disagreements = 0usize;
-        for (s, k) in sketched.iter().zip(&report.profiles) {
-            assert_eq!((s.operator, s.asn), (k.operator, k.asn));
-            assert_eq!(s.tests, k.tests, "{:?}/{:?}", s.operator, s.asn);
-            if std::mem::discriminant(&s.verdict) != std::mem::discriminant(&k.verdict) {
-                disagreements += 1;
-            }
-        }
-        // Sketch-backed verdicts may wobble only at band boundaries.
-        assert!(disagreements <= 2, "{disagreements} verdicts disagree");
-    }
-
-    #[test]
-    fn pop_flags_catch_a_level_shift() {
-        // A synthetic Starlink series: 60 days at 53 ms, 60 at 33 ms,
-        // ten sessions per day.
-        let mut records = Vec::new();
-        for day in 0..120u64 {
-            let ms = if day < 60 { 53.0 } else { 33.0 };
-            for s in 0..10u64 {
-                records.push(NdtRecord {
-                    timestamp: Timestamp(day * 86_400 + s * 600),
-                    client: Ipv4::new(98, 97, (day % 200) as u8, (s + 1) as u8),
-                    asn: Asn(14593),
-                    latency_p5: Millis(ms + s as f64 * 0.01),
-                    jitter_p95: Millis(12.0),
-                    retrans_fraction: 0.01,
-                    download: Mbps(100.0),
-                });
-            }
-        }
-        let mut online = OnlineIdentifier::new(Pipeline::new());
-        online.ingest(&records);
-        let flags = online.pop_flags(10.0, 10);
-        assert_eq!(flags.len(), 1, "{flags:?}");
-        assert_eq!(flags[0].operator, Operator::Starlink);
-        assert_eq!(flags[0].shift.index, 60);
-        assert_eq!(flags[0].day, UtcDay(60));
-        assert!((flags[0].shift.magnitude() - 20.0).abs() < 1.0);
-        // Below the detection floor: no flags.
-        assert!(online.pop_flags(30.0, 10).is_empty());
-    }
-
-    #[test]
     fn empty_identifier_snapshot() {
         let mut online = OnlineIdentifier::new(Pipeline::new());
         assert!(online.is_empty());
@@ -794,6 +588,5 @@ mod tests {
         let report = online.snapshot(StreamOptions::default());
         assert_eq!(report.records, 0);
         assert!(report.catalog.is_empty());
-        assert!(online.pop_flags(8.0, 8).is_empty());
     }
 }
