@@ -4,7 +4,8 @@
 //! repro                 # run everything
 //! repro table1 fig4c    # run selected experiments
 //! repro --list          # list experiment ids
-//! repro --scale 1e-2    # denser corpus (slower, smoother statistics)
+//! repro --scale 1e-2    # denser corpus (slower, smoother statistics);
+//!                       # a fraction of the paper volume, in (0, 1]
 //! repro --threads 4     # worker pool size (0 = all cores; output
 //!                       # is byte-identical at every setting)
 //! repro --chunk 4096    # stream the streamable experiments through
@@ -775,6 +776,14 @@ fn main() {
                 eprintln!("--scale needs a number, e.g. --scale 1e-2");
                 std::process::exit(2);
             });
+        // `SynthConfig::scale` is a fraction of the paper volume. Above
+        // 1 the generators reserve past the paper corpus (1e6 asks for
+        // terabytes, ∞ overflows a capacity); NaN, 0 and negatives
+        // would silently run at the per-operator session floors.
+        if !(value > 0.0 && value <= 1.0) {
+            eprintln!("--scale is a fraction of the paper volume in (0, 1], got {value}");
+            std::process::exit(2);
+        }
         config.scale = value;
         args.drain(pos..=pos + 1);
     }

@@ -179,8 +179,7 @@ where
         while self.pending.len() < self.chunk_len && self.next_shard < self.shards {
             // One wave: enough shards to keep the pool busy, merged in
             // shard order so the stream matches the serial sequence.
-            let wave =
-                (par::resolve_threads(self.threads).max(1) * 2).min(self.shards - self.next_shard);
+            let wave = wave_len(self.threads).min(self.shards - self.next_shard);
             let base = self.next_shard;
             let produce = &self.produce;
             let batches = par::shard_map(wave, self.threads, |i| produce(base + i));
@@ -196,6 +195,22 @@ where
         Some(self.pending.drain(..take).collect())
     }
 }
+
+/// The most shards (or chunks) one parallel wave runs at once: two per
+/// worker, so a slow one does not idle the pool, up to
+/// [`MAX_WAVE`]. The thread count is caller-chosen and output never
+/// depends on it, so the product saturates and the cap bounds what a
+/// wave holds resident — and the workers it spawns — whatever count
+/// is asked for.
+fn wave_len(threads: usize) -> usize {
+    par::resolve_threads(threads)
+        .max(1)
+        .saturating_mul(2)
+        .min(MAX_WAVE)
+}
+
+/// Cap on [`wave_len`]: keeps 32 workers busy.
+const MAX_WAVE: usize = 64;
 
 /// Fold a chunked stream through a parallel per-chunk `map`, merging
 /// the partial results **in chunk order** on the calling thread.
@@ -221,7 +236,7 @@ where
     M: Fn(&[C::Item]) -> Part + Sync,
     G: FnMut(Acc, Part) -> Acc,
 {
-    let wave_len = par::resolve_threads(threads).max(1) * 2;
+    let wave_len = wave_len(threads);
     let mut acc = init;
     loop {
         let mut wave: Vec<Vec<C::Item>> = Vec::with_capacity(wave_len);
@@ -352,6 +367,26 @@ mod tests {
                 );
                 assert_eq!(got, serial, "threads {threads} chunk {chunk_len}");
             }
+        }
+    }
+
+    #[test]
+    fn par_fold_chunks_at_any_thread_count_matches_the_serial_fold() {
+        // More chunks than one capped wave holds, at thread counts whose
+        // doubled wave would overflow or not fit in memory.
+        let serial: Vec<usize> = (0..150).flat_map(ragged).collect();
+        for threads in [1_000_000_000, usize::MAX] {
+            let got = par_fold_chunks(
+                sharded(150, threads, 1, ragged),
+                threads,
+                Vec::new(),
+                |chunk: &[usize]| chunk.to_vec(),
+                |mut acc, part| {
+                    acc.extend(part);
+                    acc
+                },
+            );
+            assert_eq!(got, serial, "threads {threads}");
         }
     }
 
