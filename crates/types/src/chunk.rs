@@ -215,8 +215,8 @@ const MAX_WAVE: usize = 64;
 /// Fold a chunked stream through a parallel per-chunk `map`, merging
 /// the partial results **in chunk order** on the calling thread.
 ///
-/// Chunks are pulled in waves (two per worker, mirroring
-/// [`sharded`]'s wave size), mapped on the [`par`] pool, and folded
+/// Chunks are pulled in waves (two per worker up to a cap, the same
+/// wave size as [`sharded`]), mapped on the [`par`] pool, and folded
 /// left-to-right — so any accumulator whose merge appends per-key
 /// samples sees them in exactly the order a serial
 /// [`RecordChunks::fold_chunks`] pass would produce, at every thread
