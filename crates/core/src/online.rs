@@ -17,8 +17,8 @@
 //!   in shard order into the exact state serial ingest would have built:
 //!   `CorpusStats::merge` appends buckets and the replay logs
 //!   concatenate byte-wise. This is what lets `sno_types::par` shard the
-//!   ingest across threads without changing a single output byte. The absorbed
-//!   shard must be *raw* — never compacted or evicted — because its
+//!   ingest across threads without changing a single output byte. The
+//!   absorbed shard must be *raw* — never compacted or evicted — because its
 //!   frames land in the middle of the merged stream, where dropped bytes
 //!   could no longer be re-decided on an epoch bump (merge-then-compact
 //!   is sound; compact-then-merge is not — see DESIGN §7).
