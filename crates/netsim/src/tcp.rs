@@ -119,23 +119,47 @@ impl TcpStats {
     /// The paper's access-latency estimate: 5th percentile of the RTT
     /// polls. `None` when the flow never completed a round.
     pub fn latency_p5(&self) -> Option<Millis> {
-        sno_stats::quantile(&self.rtt_samples, 0.05).map(Millis)
+        self.rtt_summary().0
     }
 
     /// 95th percentile of the RTT excursion above the session minimum —
     /// the `TCP_Info`-style jitter the paper normalises by the p5
     /// latency. `None` with fewer than two polls.
     pub fn jitter_p95(&self) -> Option<Millis> {
-        if self.rtt_samples.len() < 2 {
-            return None;
+        self.rtt_summary().1
+    }
+
+    /// Both per-session RTT reductions, `(latency_p5, jitter_p95)`,
+    /// from one sorted copy of the polls.
+    ///
+    /// Subtracting the session minimum is monotone on finite polls
+    /// (also across ±0.0 under `total_cmp`), so the sorted polls minus
+    /// the minimum are the sorted excursions, and both quantiles are
+    /// bit for bit those of sorting each series on its own. The polls
+    /// are finite: each is at least half a finite base RTT.
+    pub fn rtt_summary(&self) -> (Option<Millis>, Option<Millis>) {
+        if self.rtt_samples.is_empty() {
+            return (None, None);
+        }
+        let mut sorted = self.rtt_samples.clone();
+        debug_assert!(sorted.iter().all(|x| !x.is_nan()), "NaN RTT poll");
+        // `total_cmp` ties are bitwise equal, so an unstable sort yields
+        // the same slice as a stable one.
+        sorted.sort_unstable_by(f64::total_cmp);
+        let latency = Millis(sno_stats::quantile_of_sorted(&sorted, 0.05));
+        if sorted.len() < 2 {
+            return (Some(latency), None);
         }
         let floor = self
             .rtt_samples
             .iter()
             .cloned()
             .fold(f64::INFINITY, f64::min);
-        let excursions: Vec<f64> = self.rtt_samples.iter().map(|&r| r - floor).collect();
-        sno_stats::quantile(&excursions, 0.95).map(Millis)
+        for r in &mut sorted {
+            *r -= floor;
+        }
+        let jitter = Millis(sno_stats::quantile_of_sorted(&sorted, 0.95));
+        (Some(latency), Some(jitter))
     }
 
     /// Fraction of sent bytes that were retransmissions.
@@ -181,12 +205,18 @@ impl TcpFlow {
 
     /// Run the flow over `path`, starting at absolute path time
     /// `start_secs`, drawing randomness from `rng`.
-    pub fn run(&self, path: &dyn PathDynamics, start_secs: f64, rng: &mut Rng) -> TcpStats {
+    pub fn run<P: PathDynamics + ?Sized>(
+        &self,
+        path: &P,
+        start_secs: f64,
+        rng: &mut Rng,
+    ) -> TcpStats {
         let cfg = &self.config;
         let mss = f64::from(cfg.mss);
         let rate_pkts_per_ms = path.bottleneck_mbps() * 1e6 / 8.0 / mss / 1_000.0;
         debug_assert!(rate_pkts_per_ms > 0.0, "zero bottleneck rate");
-        let buffer_pkts = rate_pkts_per_ms * path.buffer_ms();
+        let buffer_ms = path.buffer_ms();
+        let buffer_pkts = rate_pkts_per_ms * buffer_ms;
 
         let mut cwnd = cfg.initial_cwnd;
         let mut ssthresh = f64::INFINITY;
@@ -228,7 +258,7 @@ impl TcpFlow {
             // DropTail queue at the bottleneck.
             let bdp_pkts = rate_pkts_per_ms * base_rtt;
             let queue_pkts = (cwnd - bdp_pkts).max(0.0);
-            let queue_delay = (queue_pkts / rate_pkts_per_ms).min(path.buffer_ms());
+            let queue_delay = (queue_pkts / rate_pkts_per_ms).min(buffer_ms);
             let overflow = (queue_pkts - buffer_pkts).max(0.0).round() as u64;
             let rtt = (base_rtt + queue_delay + rng.normal_with(0.0, cfg.rtt_noise_ms))
                 .max(base_rtt * 0.5);
@@ -328,9 +358,97 @@ impl TcpFlow {
 mod tests {
     use super::*;
     use crate::path::{StaticPath, SteppedPath};
+    use sno_check::prelude::*;
 
     fn run(path: &dyn PathDynamics, cfg: TcpConfig, seed: u64) -> TcpStats {
         TcpFlow::new(cfg).run(path, 0.0, &mut Rng::new(seed))
+    }
+
+    /// Stats carrying `rtt_samples` (the rest from a flow whose zero
+    /// byte limit ends it before the first round).
+    fn with_polls(rtt_samples: Vec<f64>) -> TcpStats {
+        TcpStats {
+            rtt_samples,
+            ..run(&StaticPath::clean(20.0, 10.0), TcpConfig::download(0), 0)
+        }
+    }
+
+    /// The two copy-and-sort quantiles `rtt_summary` replaced, kept as
+    /// its oracle: p5 of the polls, p95 of the excursions above their
+    /// minimum, each sorted on its own. Compared as bits.
+    fn copy_and_sort_oracle(polls: &[f64]) -> (Option<u64>, Option<u64>) {
+        let latency = sno_stats::quantile(polls, 0.05);
+        let jitter = if polls.len() < 2 {
+            None
+        } else {
+            let floor = polls.iter().cloned().fold(f64::INFINITY, f64::min);
+            let excursions: Vec<f64> = polls.iter().map(|&r| r - floor).collect();
+            sno_stats::quantile(&excursions, 0.95)
+        };
+        (latency.map(f64::to_bits), jitter.map(f64::to_bits))
+    }
+
+    fn summary_bits(polls: &[f64]) -> (Option<u64>, Option<u64>) {
+        let stats = with_polls(polls.to_vec());
+        let (latency, jitter) = stats.rtt_summary();
+        assert_eq!(latency, stats.latency_p5());
+        assert_eq!(jitter, stats.jitter_p95());
+        (
+            latency.map(|m| m.0.to_bits()),
+            jitter.map(|m| m.0.to_bits()),
+        )
+    }
+
+    #[test]
+    fn rtt_summary_matches_oracle_on_every_short_series() {
+        // Every series of length 0..=3 over values with duplicates and
+        // both signed zeros.
+        let pool = [-0.0, 0.0, 1.0, 2.5, -3.0];
+        let mut series: Vec<Vec<f64>> = vec![Vec::new()];
+        for _ in 0..3 {
+            let longer: Vec<Vec<f64>> = series
+                .iter()
+                .filter(|s| s.len() == series.last().map_or(0, Vec::len))
+                .flat_map(|s| {
+                    pool.iter().map(move |&x| {
+                        let mut s = s.clone();
+                        s.push(x);
+                        s
+                    })
+                })
+                .collect();
+            series.extend(longer);
+        }
+        assert_eq!(series.len(), 1 + 5 + 25 + 125);
+        for polls in &series {
+            assert_eq!(
+                summary_bits(polls),
+                copy_and_sort_oracle(polls),
+                "{polls:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-sort summary is bitwise the copy-and-sort quantiles,
+        /// on series with many duplicates and signed zeros.
+        #[test]
+        fn rtt_summary_is_bitwise_copy_and_sort(
+            picks in prop::collection::vec((0u8..6, -1e4..1e4f64), 0..200),
+        ) {
+            let polls: Vec<f64> = picks
+                .iter()
+                .map(|&(k, x)| match k {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => x.round(),
+                    _ => x,
+                })
+                .collect();
+            prop_assert_eq!(summary_bits(&polls), copy_and_sort_oracle(&polls));
+        }
     }
 
     #[test]

@@ -64,14 +64,28 @@ impl BentPipe {
     /// within an epoch and jumps at epoch boundaries — exactly the
     /// sawtooth that shows up as LEO jitter.
     pub fn propagation_rtt(&self, t_secs: f64) -> Option<Millis> {
-        let epoch_start = self.generation(t_secs) as f64 * HANDOFF_PERIOD_SECS;
-        let vis = self
-            .shell
-            .best_visible(self.user, epoch_start, self.min_elevation_deg)?;
-        let sat = self.shell.sat_position(vis.plane, vis.index, epoch_start);
+        let (vis, sat) = self.shell.best_visible_at(
+            self.user,
+            self.epoch_start(t_secs),
+            self.min_elevation_deg,
+        )?;
         let up = vis.slant;
         let down = sat.distance_to(self.gateway);
         Some(Millis::light_over(Kilometers(2.0 * (up.0 + down.0))))
+    }
+
+    /// Whether a satellite serves the user at `t_secs`: exactly
+    /// `propagation_rtt(t_secs).is_some()`, but the constellation scan
+    /// stops at the first satellite above the mask.
+    pub fn covers(&self, t_secs: f64) -> bool {
+        self.shell
+            .covers(self.user, self.epoch_start(t_secs), self.min_elevation_deg)
+    }
+
+    /// Start of the handoff epoch `t_secs` falls in: the instant the
+    /// serving satellite is chosen.
+    fn epoch_start(&self, t_secs: f64) -> f64 {
+        self.generation(t_secs) as f64 * HANDOFF_PERIOD_SECS
     }
 }
 
@@ -102,19 +116,33 @@ impl MeoAccess {
     /// Which satellite serves the user at `t_secs` (the MEO analogue of a
     /// handoff generation), or `None` outside coverage.
     pub fn generation(&self, t_secs: f64) -> Option<u64> {
-        self.ring
-            .best_visible(self.user, t_secs, self.min_elevation_deg)
-            .map(|(i, _, _)| u64::from(i))
+        self.serving(t_secs).map(|(i, _)| u64::from(i))
     }
 
     /// Bent-pipe propagation RTT at `t_secs`.
     pub fn propagation_rtt(&self, t_secs: f64) -> Option<Millis> {
-        let (index, up, _) = self
+        self.serving(t_secs).map(|s| self.rtt_via(s, t_secs))
+    }
+
+    /// The serving satellite at `t_secs` and its slant range from the
+    /// user, or `None` outside coverage: the one ring scan that both
+    /// [`MeoAccess::generation`] and [`MeoAccess::propagation_rtt`]
+    /// read, so a caller asking both at one instant can scan once.
+    pub fn serving(&self, t_secs: f64) -> Option<(u32, Kilometers)> {
+        self.ring
+            .best_visible(self.user, t_secs, self.min_elevation_deg)
+            .map(|(i, up, _)| (i, up))
+    }
+
+    /// Bent-pipe propagation RTT at `t_secs` through `serving`, a
+    /// [`MeoAccess::serving`] answer for the same instant.
+    pub fn rtt_via(&self, serving: (u32, Kilometers), t_secs: f64) -> Millis {
+        let (index, up) = serving;
+        let down = self
             .ring
-            .best_visible(self.user, t_secs, self.min_elevation_deg)?;
-        let sat = self.ring.sat_position(index, t_secs);
-        let down = sat.distance_to(self.gateway);
-        Some(Millis::light_over(Kilometers(2.0 * (up.0 + down.0))))
+            .sat_position(index, t_secs)
+            .distance_to(self.gateway);
+        Millis::light_over(Kilometers(2.0 * (up.0 + down.0)))
     }
 }
 

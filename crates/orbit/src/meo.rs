@@ -6,7 +6,7 @@
 //! happens, recovery is harder because the ring is sparse (the paper's
 //! explanation for MEO's heavy jitter tail in Figure 4b).
 
-use crate::vec3::{elevation_deg, Vec3, MU_EARTH};
+use crate::vec3::{look, Vec3, EARTH_ROTATION_RAD_S, MU_EARTH};
 use sno_types::Kilometers;
 use std::f64::consts::TAU;
 
@@ -43,11 +43,21 @@ impl MeoRing {
     /// Panics in debug builds when `index` is out of range.
     pub fn sat_position(&self, index: u32, t_secs: f64) -> Vec3 {
         debug_assert!(index < self.sats, "index out of range");
-        let a = self.orbit_radius_km();
+        self.position(self.orbit_radius_km(), self.drift_rad_s() * t_secs, index)
+    }
+
+    /// Angular rate of the ring in ECEF: the mean motion minus Earth
+    /// rotation, rad/s.
+    fn drift_rad_s(&self) -> f64 {
+        TAU / self.period_secs() - EARTH_ROTATION_RAD_S
+    }
+
+    /// Position of satellite `index` on a ring of radius `a` that has
+    /// drifted by `drift` radians since the epoch.
+    fn position(&self, a: f64, drift: f64, index: u32) -> Vec3 {
         // Equatorial ring: position is a longitude that advances at the
         // mean motion minus Earth rotation (ECEF).
-        let angle = TAU * f64::from(index) / f64::from(self.sats)
-            + (TAU / self.period_secs() - crate::vec3::EARTH_ROTATION_RAD_S) * t_secs;
+        let angle = TAU * f64::from(index) / f64::from(self.sats) + drift;
         Vec3::new(a * angle.cos(), a * angle.sin(), 0.0)
     }
 
@@ -60,15 +70,19 @@ impl MeoRing {
         t_secs: f64,
         min_elevation_deg: f64,
     ) -> Option<(u32, Kilometers, f64)> {
+        // The ring radius, drift and observer up vector are the same
+        // for every satellite; hoisting them changes no bit.
+        let a = self.orbit_radius_km();
+        let drift = self.drift_rad_s() * t_secs;
+        let up = observer.unit();
         let mut best: Option<(u32, Kilometers, f64)> = None;
         for index in 0..self.sats {
-            let sat = self.sat_position(index, t_secs);
-            let el = elevation_deg(observer, sat);
+            let (el, slant) = look(observer, up, self.position(a, drift, index));
             if el < min_elevation_deg {
                 continue;
             }
             if best.as_ref().is_none_or(|&(_, _, b)| el > b) {
-                best = Some((index, observer.distance_to(sat), el));
+                best = Some((index, slant, el));
             }
         }
         best
@@ -120,6 +134,33 @@ mod tests {
             }
         }
         assert!(changes <= 1, "{changes} handoffs in 10 min");
+    }
+
+    /// The hoisted scan must pick exactly what evaluating
+    /// `sat_position` + `elevation_deg` + `distance_to` per satellite
+    /// picks, bit for bit.
+    #[test]
+    fn hoisted_scan_matches_per_satellite_oracle() {
+        for lat in [-60.0, -30.0, -5.0, 0.0, 12.5, 45.0, 75.0] {
+            for lon in [-150.0, 0.0, 101.0] {
+                let obs = ecef_of(GeoPoint::new(lat, lon));
+                for t in [0.0, 600.0, 86_400.0, 1.65e9] {
+                    let mut oracle: Option<(u32, Kilometers, f64)> = None;
+                    for index in 0..O3B_RING.sats {
+                        let sat = O3B_RING.sat_position(index, t);
+                        let el = crate::vec3::elevation_deg(obs, sat);
+                        if el >= 10.0 && oracle.is_none_or(|(_, _, b)| el > b) {
+                            oracle = Some((index, obs.distance_to(sat), el));
+                        }
+                    }
+                    assert_eq!(
+                        O3B_RING.best_visible(obs, t, 10.0),
+                        oracle,
+                        "lat {lat} lon {lon} t {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

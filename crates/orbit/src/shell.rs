@@ -6,9 +6,10 @@
 //! with a per-plane phase offset (the Walker phasing parameter). Both
 //! LEO constellations in the paper are modelled this way.
 
-use crate::vec3::{Vec3, EARTH_ROTATION_RAD_S, MU_EARTH};
+use crate::vec3::{look, Vec3, EARTH_ROTATION_RAD_S, MU_EARTH};
 use sno_types::Kilometers;
 use std::f64::consts::TAU;
+use std::ops::ControlFlow;
 
 /// A Walker-delta shell of circular orbits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,32 +122,84 @@ impl Shell {
     /// a surviving plane the dot product ô·pos(u) is sinusoidal in the
     /// argument of latitude, so the plane's best satellite is the
     /// sample nearest its peak — only that sample and its neighbours
-    /// are evaluated. For Starlink's 72×22 shell this visits a handful
-    /// of planes instead of 1,584 satellites.
+    /// are evaluated. For Starlink's 72×22 shell at the 25° user mask,
+    /// ~15 of the 72 planes pass the plane test, so ~45 of the 1,584
+    /// satellites are evaluated.
     pub fn best_visible(
         &self,
         observer: Vec3,
         t_secs: f64,
         min_elevation_deg: f64,
     ) -> Option<Visibility> {
+        self.best_visible_at(observer, t_secs, min_elevation_deg)
+            .map(|(vis, _)| vis)
+    }
+
+    /// Whether any satellite clears `min_elevation_deg` from `observer`
+    /// at `t_secs`: exactly `best_visible(..).is_some()`, but the scan
+    /// stops at the first satellite above the mask.
+    pub fn covers(&self, observer: Vec3, t_secs: f64, min_elevation_deg: f64) -> bool {
+        self.scan(observer, t_secs, min_elevation_deg, |_| {
+            ControlFlow::Break(())
+        })
+    }
+
+    /// [`Shell::best_visible`] together with the chosen satellite's ECEF
+    /// position (bit for bit `sat_position(vis.plane, vis.index, t_secs)`).
+    pub(crate) fn best_visible_at(
+        &self,
+        observer: Vec3,
+        t_secs: f64,
+        min_elevation_deg: f64,
+    ) -> Option<(Visibility, Vec3)> {
+        let mut best: Option<(Visibility, Vec3)> = None;
+        self.scan(observer, t_secs, min_elevation_deg, |c| {
+            if best
+                .as_ref()
+                .is_none_or(|(b, _)| c.vis.elevation_deg > b.elevation_deg)
+            {
+                best = Some((c.vis, c.sat));
+            }
+            ControlFlow::Continue(())
+        });
+        best
+    }
+
+    /// The pruned search both [`Shell::best_visible`] and
+    /// [`Shell::covers`] run: hands every evaluated satellite that clears
+    /// the mask to `visit`, in plane then candidate order, until `visit`
+    /// breaks. Returns whether it broke.
+    ///
+    /// The shell-wide and per-plane terms of [`Shell::sat_position`] and
+    /// `vec3::elevation_deg` are hoisted out of the loops, but every
+    /// value is the same float expression evaluated in the same order,
+    /// so positions, elevations and slants are bit for bit those of the
+    /// per-satellite functions.
+    fn scan(
+        &self,
+        observer: Vec3,
+        t_secs: f64,
+        min_elevation_deg: f64,
+        mut visit: impl FnMut(Candidate) -> ControlFlow<()>,
+    ) -> bool {
         let a = self.orbit_radius_km();
         let o = observer.unit();
         let mask = min_elevation_deg.to_radians();
         let cos_arg = ((observer.norm() / a) * mask.cos()).min(1.0);
         let psi_max = cos_arg.acos() - mask;
         if psi_max <= 0.0 {
-            return None;
+            return false;
         }
         // Slack so float rounding in the plane-distance test can never
         // drop a plane whose best satellite sits exactly at the mask.
         let sin_psi_max = (psi_max + 1e-9).sin();
         let mean_motion = TAU / self.period_secs();
+        let motion = mean_motion * t_secs;
+        let node_drift = EARTH_ROTATION_RAD_S * t_secs;
         let (sin_i, cos_i) = self.inclination_deg.to_radians().sin_cos();
         let s = f64::from(self.sats_per_plane);
-        let mut best: Option<Visibility> = None;
         for plane in 0..self.planes {
-            let raan =
-                TAU * f64::from(plane) / f64::from(self.planes) - EARTH_ROTATION_RAD_S * t_secs;
+            let raan = TAU * f64::from(plane) / f64::from(self.planes) - node_drift;
             let (sin_raan, cos_raan) = raan.sin_cos();
             // Unit normal of the orbit plane in ECEF.
             let n_dot = o.x * sin_raan * sin_i - o.y * cos_raan * sin_i + o.z * cos_i;
@@ -158,31 +211,44 @@ impl Shell {
             let p1 = Vec3::new(cos_raan, sin_raan, 0.0);
             let p2 = Vec3::new(-sin_raan * cos_i, cos_raan * cos_i, sin_i);
             let u_star = o.dot(p2).atan2(o.dot(p1));
-            let u0 = TAU * f64::from(self.phasing) * f64::from(plane) / f64::from(self.num_sats())
-                + mean_motion * t_secs;
-            let nearest = ((u_star - u0) / TAU * s).round();
+            let phase =
+                TAU * f64::from(self.phasing) * f64::from(plane) / f64::from(self.num_sats());
+            let nearest = ((u_star - (phase + motion)) / TAU * s).round();
             // The rounded peak plus both neighbours guards against u*
             // landing a rounding error away from the true argmax.
             for k in [-1.0, 0.0, 1.0] {
                 let index =
                     ((nearest + k) as i64).rem_euclid(i64::from(self.sats_per_plane)) as u32;
-                let sat = self.sat_position(plane, index, t_secs);
-                let el = crate::vec3::elevation_deg(observer, sat);
-                if el < min_elevation_deg {
+                let u = TAU * f64::from(index) / s + phase + motion;
+                let (sin_u, cos_u) = u.sin_cos();
+                let sat = Vec3::new(
+                    a * (cos_raan * cos_u - sin_raan * sin_u * cos_i),
+                    a * (sin_raan * cos_u + cos_raan * sin_u * cos_i),
+                    a * (sin_u * sin_i),
+                );
+                let (elevation_deg, slant) = look(observer, o, sat);
+                if elevation_deg < min_elevation_deg {
                     continue;
                 }
-                if best.as_ref().is_none_or(|b| el > b.elevation_deg) {
-                    best = Some(Visibility {
-                        plane,
-                        index,
-                        slant: observer.distance_to(sat),
-                        elevation_deg: el,
-                    });
+                let vis = Visibility {
+                    plane,
+                    index,
+                    slant,
+                    elevation_deg,
+                };
+                if visit(Candidate { vis, sat }).is_break() {
+                    return true;
                 }
             }
         }
-        best
+        false
     }
+}
+
+/// A satellite the pruned scan evaluated and found above the mask.
+struct Candidate {
+    vis: Visibility,
+    sat: Vec3,
 }
 
 #[cfg(test)]
@@ -322,6 +388,36 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn covers_matches_best_visible() {
+        for shell in [STARLINK_SHELL, ONEWEB_SHELL] {
+            for lat in [-78.0, -53.0, -40.0, 0.0, 33.9, 47.6, 53.0, 61.2, 82.0] {
+                for lon in [-122.3, 0.0, 15.0, 174.8] {
+                    let obs = ecef_of(GeoPoint::new(lat, lon));
+                    for t in [0.0, 777.0, 5_000.0, 86_400.0, 9_999_999.0] {
+                        for mask in [10.0, 25.0, 40.0] {
+                            assert_eq!(
+                                shell.covers(obs, t, mask),
+                                shell.best_visible(obs, t, mask).is_some(),
+                                "shell {}km lat {lat} lon {lon} t {t} mask {mask}",
+                                shell.altitude_km
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_visible_at_returns_the_sat_position() {
+        let obs = ecef_of(GeoPoint::new(47.6, -122.3));
+        for t in [0.0, 777.0, 1.65e9] {
+            let (vis, sat) = STARLINK_SHELL.best_visible_at(obs, t, 25.0).unwrap();
+            assert_eq!(sat, STARLINK_SHELL.sat_position(vis.plane, vis.index, t));
         }
     }
 

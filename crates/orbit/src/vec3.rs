@@ -79,6 +79,20 @@ pub fn elevation_deg(observer: Vec3, target: Vec3) -> f64 {
     sin_el.asin().to_degrees()
 }
 
+/// Elevation (degrees) and slant range of `target` from `observer`,
+/// given the observer's up vector `up = observer.unit()`: bit for bit
+/// `(elevation_deg(observer, target), observer.distance_to(target))`,
+/// with the up vector hoisted by the caller and the line-of-sight norm
+/// computed once (`observer − target` is the exact negation of
+/// `target − observer`, so both have the same norm).
+pub(crate) fn look(observer: Vec3, up: Vec3, target: Vec3) -> (f64, Kilometers) {
+    let los = target.sub(observer);
+    let n = los.norm();
+    debug_assert!(n > 0.0, "unit of zero vector");
+    let sin_el = los.scale(1.0 / n).dot(up);
+    (sin_el.asin().to_degrees(), Kilometers(n))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

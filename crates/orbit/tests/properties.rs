@@ -64,6 +64,27 @@ proptest! {
         }
     }
 
+    /// The early-exit coverage scan answers exactly what the full
+    /// best-satellite scan answers, for both shells and the bent pipe.
+    #[test]
+    fn covers_agrees_with_best_visible(
+        lat in -89.0..89.0f64,
+        lon in -180.0..180.0f64,
+        t in 0.0..2e9f64,
+        mask in 5.0..60.0f64,
+    ) {
+        let obs = ecef_of(GeoPoint::new(lat, lon));
+        for shell in [STARLINK_SHELL, ONEWEB_SHELL] {
+            prop_assert_eq!(
+                shell.covers(obs, t, mask),
+                shell.best_visible(obs, t, mask).is_some()
+            );
+        }
+        let mut pipe = BentPipe::new(STARLINK_SHELL, GeoPoint::new(lat, lon), GeoPoint::new(lat, lon));
+        pipe.min_elevation_deg = mask;
+        prop_assert_eq!(pipe.covers(t), pipe.propagation_rtt(t).is_some());
+    }
+
     /// LEO RTT is constant within a handoff epoch.
     #[test]
     fn leo_rtt_epoch_constant(

@@ -23,7 +23,8 @@ use sno_registry::profile::profile_of;
 use sno_types::chunk::{self, RecordChunks};
 use sno_types::par;
 use sno_types::time::SECS_PER_DAY;
-use sno_types::{Asn, LinkKind, Operator, OrbitClass, Rng, UtcDay};
+use sno_types::{Asn, Kilometers, LinkKind, Operator, OrbitClass, Rng, UtcDay};
+use std::cell::Cell;
 
 /// Metro areas hosting NDT measurement servers. The client's flow exits
 /// the operator's network at its egress and rides ordinary transit to
@@ -116,17 +117,16 @@ pub const MLAB_SITES: &[GeoPoint] = &[
     }, // Johannesburg
 ];
 
-/// Nearest point of `candidates` to `from`.
+/// Nearest point of `candidates` to `from`: the first of the closest
+/// under `total_cmp`, one haversine per candidate.
 pub fn nearest(from: GeoPoint, candidates: &[GeoPoint]) -> GeoPoint {
-    *candidates
+    candidates
         .iter()
-        .min_by(|a, b| {
-            let da = haversine_km(from, **a).0;
-            let db = haversine_km(from, **b).0;
-            da.total_cmp(&db)
-        })
+        .map(|&c| (haversine_km(from, c).0, c))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         // sno-lint: allow(unwrap-in-lib): callers pass the static gateway/PoP tables, never empty
         .expect("non-empty candidate list")
+        .1
 }
 
 /// The satellite (or wire) segment of a session path.
@@ -137,13 +137,39 @@ enum Segment {
         /// model polls the path every round, but the answer only changes
         /// at 15-second epoch boundaries, and a full constellation scan
         /// per poll would dominate corpus generation.
-        memo: std::cell::RefCell<Option<(u64, Option<f64>)>>,
+        memo: Cell<Option<(u64, Option<f64>)>>,
     },
-    Meo(MeoAccess),
+    Meo(MeoLink),
     /// GEO propagation is constant; precomputed.
     Geo(f64),
     /// Terrestrial line with a fixed RTT.
     Fixed(f64),
+}
+
+/// An O3b access link with a memo of the last instant's serving
+/// satellite, keyed by the instant's bits: each flow round asks for the
+/// RTT and then the generation at the same time, and both read one ring
+/// scan.
+struct MeoLink {
+    access: MeoAccess,
+    memo: Cell<Option<(u64, Serving)>>,
+}
+
+/// A MEO serving satellite and its slant range; `None` outside coverage.
+type Serving = Option<(u32, Kilometers)>;
+
+impl MeoLink {
+    fn serving(&self, t_secs: f64) -> Serving {
+        let key = t_secs.to_bits();
+        match self.memo.get() {
+            Some((k, serving)) if k == key => serving,
+            _ => {
+                let serving = self.access.serving(t_secs);
+                self.memo.set(Some((key, serving)));
+                serving
+            }
+        }
+    }
 }
 
 /// Queueing induced by *other* subscribers sharing the bottleneck
@@ -296,8 +322,7 @@ impl ClientPath {
                 // networks are dense); backhaul gateway → egress is part
                 // of the overhead via `tail` only when the egress is the
                 // serving PoP, so add the extra hop here.
-                let gateway = nearest(client, egresses);
-                let gw = if haversine_km(client, gateway).0 > 1_500.0 {
+                let gw = if haversine_km(client, egress).0 > 1_500.0 {
                     // No nearby egress: gateway lands near the client and
                     // traffic backhauls over fibre (OneWeb's US-only
                     // egress; Starlink Philippines → Tokyo).
@@ -306,16 +331,18 @@ impl ClientPath {
                         (client.lon - 2.0).clamp(-179.9, 179.9),
                     )
                 } else {
-                    gateway
+                    egress
                 };
                 let pipe = BentPipe::new(shell, client, gw);
                 // Validate coverage at a sample instant.
-                pipe.propagation_rtt(0.0)?;
+                if !pipe.covers(0.0) {
+                    return None;
+                }
                 let backhaul = terrestrial_rtt(gw, egress).0;
                 return Some(ClientPath {
                     segment: Segment::Leo {
                         pipe,
-                        memo: std::cell::RefCell::new(None),
+                        memo: Cell::new(None),
                     },
                     overhead_ms: overhead_ms + backhaul * 0.75, // cable routes beat the 1.6 default
                     cross,
@@ -327,8 +354,11 @@ impl ClientPath {
             }
             OrbitClass::Meo => {
                 let access = MeoAccess::new(O3B_RING, client, egress);
-                access.propagation_rtt(0.0)?;
-                Segment::Meo(access)
+                access.serving(0.0)?;
+                Segment::Meo(MeoLink {
+                    access,
+                    memo: Cell::new(None),
+                })
             }
             OrbitClass::Geo => {
                 let prop = geo_slots_of(op)
@@ -580,18 +610,17 @@ impl PathDynamics for ClientPath {
         let prop = match &self.segment {
             Segment::Leo { pipe, memo } => {
                 let epoch = pipe.generation(t_secs);
-                let mut memo = memo.borrow_mut();
-                let rtt = match *memo {
+                let rtt = match memo.get() {
                     Some((e, rtt)) if e == epoch => rtt,
                     _ => {
                         let rtt = pipe.propagation_rtt(t_secs).map(|m| m.0);
-                        *memo = Some((epoch, rtt));
+                        memo.set(Some((epoch, rtt)));
                         rtt
                     }
                 };
                 rtt?
             }
-            Segment::Meo(access) => access.propagation_rtt(t_secs)?.0,
+            Segment::Meo(link) => link.access.rtt_via(link.serving(t_secs)?, t_secs).0,
             Segment::Geo(prop) => *prop,
             Segment::Fixed(rtt) => *rtt,
         };
@@ -613,7 +642,7 @@ impl PathDynamics for ClientPath {
     fn generation(&self, t_secs: f64) -> u64 {
         match &self.segment {
             Segment::Leo { pipe, .. } => pipe.generation(t_secs),
-            Segment::Meo(access) => access.generation(t_secs).unwrap_or(0),
+            Segment::Meo(link) => link.serving(t_secs).map_or(0, |(i, _)| u64::from(i)),
             _ => 0,
         }
     }
