@@ -141,11 +141,19 @@ impl TcpStats {
         if self.rtt_samples.is_empty() {
             return (None, None);
         }
-        let mut sorted = self.rtt_samples.clone();
-        debug_assert!(sorted.iter().all(|x| !x.is_nan()), "NaN RTT poll");
-        // `total_cmp` ties are bitwise equal, so an unstable sort yields
-        // the same slice as a stable one.
-        sorted.sort_unstable_by(f64::total_cmp);
+        debug_assert!(self.rtt_samples.iter().all(|x| !x.is_nan()), "NaN RTT poll");
+        // Sorted in `f64::total_cmp` order, as integer keys: an integer
+        // sort is about twice as fast, and equal keys are equal bits.
+        let mut keys: Vec<i64> = self
+            .rtt_samples
+            .iter()
+            .map(|x| total_order_key(x.to_bits() as i64))
+            .collect();
+        keys.sort_unstable();
+        let mut sorted: Vec<f64> = keys
+            .into_iter()
+            .map(|k| f64::from_bits(total_order_key(k) as u64))
+            .collect();
         let latency = Millis(sno_stats::quantile_of_sorted(&sorted, 0.05));
         if sorted.len() < 2 {
             return (Some(latency), None);
@@ -178,6 +186,13 @@ impl TcpStats {
             Millis(self.duration_secs * 1_000.0),
         )
     }
+}
+
+/// The integer that `f64::total_cmp` compares in place of the float
+/// with these bits: negative floats get their magnitude bits flipped.
+/// Applied twice it gives back the bits.
+fn total_order_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// A runnable TCP flow.

@@ -121,10 +121,10 @@ impl Shell {
     /// than ψmax are skipped without touching their satellites. Within
     /// a surviving plane the dot product ô·pos(u) is sinusoidal in the
     /// argument of latitude, so the plane's best satellite is the
-    /// sample nearest its peak — only that sample and its neighbours
-    /// are evaluated. For Starlink's 72×22 shell at the 25° user mask,
-    /// ~15 of the 72 planes pass the plane test, so ~45 of the 1,584
-    /// satellites are evaluated.
+    /// sample nearest its peak — only that sample, and a neighbour when
+    /// the peak lies near half-way to it, are evaluated. For Starlink's
+    /// 72×22 shell at the 25° user mask, ~17 of the 72 planes pass the
+    /// plane test, so ~19 of the 1,584 satellites are evaluated.
     pub fn best_visible(
         &self,
         observer: Vec3,
@@ -213,10 +213,24 @@ impl Shell {
             let u_star = o.dot(p2).atan2(o.dot(p1));
             let phase =
                 TAU * f64::from(self.phasing) * f64::from(plane) / f64::from(self.num_sats());
-            let nearest = ((u_star - (phase + motion)) / TAU * s).round();
-            // The rounded peak plus both neighbours guards against u*
-            // landing a rounding error away from the true argmax.
+            // Elevation falls strictly with |u − u*| (the plane test
+            // keeps |ô·n̂| ≤ sin ψmax, so the sinusoid's amplitude is at
+            // least cos ψmax), and the satellites sit one step apart in
+            // `peak`. The sample nearest the peak is therefore the
+            // plane's best, unless the peak lies within rounding error of
+            // half-way to a neighbour. That neighbour is also evaluated
+            // when the peak lies within 0.05 step of half-way to it: a
+            // guard band ~10⁶ times the rounding error of `peak` (~10⁻⁸
+            // of a step at t = 10¹⁰ s). A skipped neighbour is strictly
+            // lower than the evaluated sample, so it can neither win nor
+            // be the only satellite above the mask.
+            let peak = (u_star - (phase + motion)) / TAU * s;
+            let nearest = peak.round();
+            let offset = peak - nearest;
             for k in [-1.0, 0.0, 1.0] {
+                if k != 0.0 && k * offset <= 0.45 {
+                    continue;
+                }
                 let index =
                     ((nearest + k) as i64).rem_euclid(i64::from(self.sats_per_plane)) as u32;
                 let u = TAU * f64::from(index) / s + phase + motion;
@@ -255,6 +269,7 @@ struct Candidate {
 mod tests {
     use super::*;
     use crate::vec3::{ecef_of, EARTH_RADIUS_KM};
+    use sno_check::prelude::*;
     use sno_geo::GeoPoint;
 
     #[test]
@@ -387,6 +402,28 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pruned search matches the full scan at random observers,
+        /// corpus-era times and masks, not only on the fixed grid.
+        #[test]
+        fn pruned_search_matches_full_scan_anywhere(
+            lat in -89.0..89.0f64,
+            lon in -180.0..180.0f64,
+            t in 0.0..2e9f64,
+            mask in 5.0..60.0f64,
+        ) {
+            let obs = ecef_of(GeoPoint::new(lat, lon));
+            for shell in [STARLINK_SHELL, ONEWEB_SHELL] {
+                prop_assert_eq!(
+                    shell.best_visible(obs, t, mask),
+                    best_visible_scan(&shell, obs, t, mask)
+                );
             }
         }
     }
