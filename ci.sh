@@ -133,16 +133,17 @@ run memory-gate bash -c \
 # heartbeats for liveness — under a wall-clock budget (timeout) and an
 # address-space ceiling sized at ~2x the measured run (see README "CI
 # gates" for the numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured
-# 113 s wall / 40 MB address-space peak on the 1-core reference box;
-# 33.3 MiB at one worker thread and 40.5 MiB at two with one malloc
-# arena on a 2-vCPU box); nightly runs the full paper volume (measured
-# 1107 s / 278 MB) with
+# 67 s wall on a 2-vCPU box, where the generator before its fast path
+# took 103 s; 40 MB address-space peak; 33.3 MiB at one worker thread
+# and 40.5 MiB at two with one malloc arena). The 340 s budget keeps
+# ~5x headroom over that run. Nightly runs the full paper volume
+# (measured 1107 s / 278 MB before the generator fast path) with
 #   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=2400 SNO_CI_ULIMIT_KB=573440 ./ci.sh
 # MALLOC_ARENA_MAX=1 as in the memory gate: with per-thread arenas the
 # two-thread run reserves ~338 MiB of address space, and the ceiling
 # then fails whichever allocation loses the race for it.
 SNO_CI_SCALE="${SNO_CI_SCALE:-1e-1}"
-SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-600}"
+SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-340}"
 SNO_CI_ULIMIT_KB="${SNO_CI_ULIMIT_KB:-81920}"
 run paper-scale-gate bash -c \
     "ulimit -v ${SNO_CI_ULIMIT_KB}; MALLOC_ARENA_MAX=1 exec timeout ${SNO_CI_BUDGET_S} \

@@ -419,20 +419,14 @@ mod tests {
         // Every series of length 0..=3 over values with duplicates and
         // both signed zeros.
         let pool = [-0.0, 0.0, 1.0, 2.5, -3.0];
-        let mut series: Vec<Vec<f64>> = vec![Vec::new()];
+        let mut level: Vec<Vec<f64>> = vec![Vec::new()];
+        let mut series = level.clone();
         for _ in 0..3 {
-            let longer: Vec<Vec<f64>> = series
+            level = level
                 .iter()
-                .filter(|s| s.len() == series.last().map_or(0, Vec::len))
-                .flat_map(|s| {
-                    pool.iter().map(move |&x| {
-                        let mut s = s.clone();
-                        s.push(x);
-                        s
-                    })
-                })
+                .flat_map(|s| pool.iter().map(move |&x| [s.as_slice(), &[x]].concat()))
                 .collect();
-            series.extend(longer);
+            series.extend(level.iter().cloned());
         }
         assert_eq!(series.len(), 1 + 5 + 25 + 125);
         for polls in &series {

@@ -139,7 +139,7 @@ impl Shell {
     /// at `t_secs`: exactly `best_visible(..).is_some()`, but the scan
     /// stops at the first satellite above the mask.
     pub fn covers(&self, observer: Vec3, t_secs: f64, min_elevation_deg: f64) -> bool {
-        self.scan(observer, t_secs, min_elevation_deg, |_| {
+        self.scan(observer, t_secs, min_elevation_deg, |_, _| {
             ControlFlow::Break(())
         })
     }
@@ -153,12 +153,12 @@ impl Shell {
         min_elevation_deg: f64,
     ) -> Option<(Visibility, Vec3)> {
         let mut best: Option<(Visibility, Vec3)> = None;
-        self.scan(observer, t_secs, min_elevation_deg, |c| {
+        self.scan(observer, t_secs, min_elevation_deg, |vis, sat| {
             if best
                 .as_ref()
-                .is_none_or(|(b, _)| c.vis.elevation_deg > b.elevation_deg)
+                .is_none_or(|(b, _)| vis.elevation_deg > b.elevation_deg)
             {
-                best = Some((c.vis, c.sat));
+                best = Some((vis, sat));
             }
             ControlFlow::Continue(())
         });
@@ -167,8 +167,8 @@ impl Shell {
 
     /// The pruned search both [`Shell::best_visible`] and
     /// [`Shell::covers`] run: hands every evaluated satellite that clears
-    /// the mask to `visit`, in plane then candidate order, until `visit`
-    /// breaks. Returns whether it broke.
+    /// the mask to `visit`, with its ECEF position, in plane then
+    /// candidate order, until `visit` breaks. Returns whether it broke.
     ///
     /// The shell-wide and per-plane terms of [`Shell::sat_position`] and
     /// `vec3::elevation_deg` are hoisted out of the loops, but every
@@ -180,7 +180,7 @@ impl Shell {
         observer: Vec3,
         t_secs: f64,
         min_elevation_deg: f64,
-        mut visit: impl FnMut(Candidate) -> ControlFlow<()>,
+        mut visit: impl FnMut(Visibility, Vec3) -> ControlFlow<()>,
     ) -> bool {
         let a = self.orbit_radius_km();
         let o = observer.unit();
@@ -250,19 +250,13 @@ impl Shell {
                     slant,
                     elevation_deg,
                 };
-                if visit(Candidate { vis, sat }).is_break() {
+                if visit(vis, sat).is_break() {
                     return true;
                 }
             }
         }
         false
     }
-}
-
-/// A satellite the pruned scan evaluated and found above the mask.
-struct Candidate {
-    vis: Visibility,
-    sat: Vec3,
 }
 
 #[cfg(test)]
