@@ -73,18 +73,14 @@ pub fn ecef_of(p: GeoPoint) -> Vec3 {
 /// `observer`: the angle between the line of sight and the local
 /// horizontal plane. Negative values mean below the horizon.
 pub fn elevation_deg(observer: Vec3, target: Vec3) -> f64 {
-    let los = target.sub(observer);
-    let up = observer.unit();
-    let sin_el = los.unit().dot(up);
-    sin_el.asin().to_degrees()
+    look(observer, observer.unit(), target).0
 }
 
 /// Elevation (degrees) and slant range of `target` from `observer`,
-/// given the observer's up vector `up = observer.unit()`: bit for bit
-/// `(elevation_deg(observer, target), observer.distance_to(target))`,
-/// with the up vector hoisted by the caller and the line-of-sight norm
-/// computed once (`observer − target` is the exact negation of
-/// `target − observer`, so both have the same norm).
+/// given the observer's up vector `up = observer.unit()`, so a scan
+/// over many targets computes it once. The slant is bit for bit
+/// `observer.distance_to(target)`: `observer − target` is the exact
+/// negation of the line of sight, so both have the same norm.
 pub(crate) fn look(observer: Vec3, up: Vec3, target: Vec3) -> (f64, Kilometers) {
     let los = target.sub(observer);
     let n = los.norm();
