@@ -129,21 +129,23 @@ run memory-gate bash -c \
     'ulimit -v 24576; MALLOC_ARENA_MAX=1 exec ./target/release/repro table1 --scale 2e-2 --chunk 4096 >/dev/null'
 
 # Paper-scale gate: the streamed pipeline drives a paper-sized corpus
-# end to end — chunked generation, parallel two-pass identification,
-# heartbeats for liveness — under a wall-clock budget (timeout) and an
-# address-space ceiling sized at ~2x the measured run (see README "CI
-# gates" for the numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured
-# 67 s wall on a 2-vCPU box, where the generator before its fast path
-# took 103 s; 40 MB address-space peak; 33.3 MiB at one worker thread
-# and 40.5 MiB at two with one malloc arena). The 340 s budget keeps
-# ~5x headroom over that run. Nightly runs the full paper volume
-# (measured 1107 s / 278 MB before the generator fast path) with
-#   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=2400 SNO_CI_ULIMIT_KB=573440 ./ci.sh
+# end to end — chunked generation (once: pass 2 reads a 12 B/record
+# spill under TMPDIR), parallel two-pass identification, heartbeats for
+# liveness — under a wall-clock budget (timeout) and an address-space
+# ceiling sized at ~2x the measured run (see README "CI gates" for the
+# numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured 39 s wall on a
+# 2-vCPU box, where generating the corpus once per pass took 67 s and
+# before the generator fast path 103 s; 33 MiB address-space peak,
+# 16 MiB resident, 14 MB of spill). The 200 s budget keeps ~5x
+# headroom over that run. Nightly runs the full paper volume (measured
+# 364 s wall, 103 MiB resident, 159 MiB address-space peak and a
+# 142 MB spill; 1107 s / 278 MB before the generator fast path) with
+#   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=1800 SNO_CI_ULIMIT_KB=573440 ./ci.sh
 # MALLOC_ARENA_MAX=1 as in the memory gate: with per-thread arenas the
 # two-thread run reserves ~338 MiB of address space, and the ceiling
 # then fails whichever allocation loses the race for it.
 SNO_CI_SCALE="${SNO_CI_SCALE:-1e-1}"
-SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-340}"
+SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-200}"
 SNO_CI_ULIMIT_KB="${SNO_CI_ULIMIT_KB:-81920}"
 run paper-scale-gate bash -c \
     "ulimit -v ${SNO_CI_ULIMIT_KB}; MALLOC_ARENA_MAX=1 exec timeout ${SNO_CI_BUDGET_S} \

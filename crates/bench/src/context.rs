@@ -149,8 +149,9 @@ impl ReproContext {
             let chunk_len = self.chunk_len();
             Pipeline::with_threads(self.config.threads).run_streamed(
                 || generator.generate_chunks(chunk_len),
-                // No encoded replay here: this path backs the
-                // constant-memory CI gate, so pass 2 regenerates.
+                // Generated once: pass 2 reads the 12 B/record spill
+                // under TMPDIR (~142 MB at `--scale 1`), not the
+                // generator, and nothing is held in memory.
                 StreamOptions {
                     operator_latencies: true,
                     progress_every: self.progress_every,

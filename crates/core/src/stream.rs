@@ -2,17 +2,19 @@
 //! chunked corpora.
 //!
 //! [`Pipeline::run_streamed`] is the one body every identification
-//! entry point runs. It takes a re-streamable chunked source and makes
-//! two passes over it:
+//! entry point runs. It streams its chunked source once and makes two
+//! passes over the records:
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
 //!    (per-ASN latency samples for stage 3, per-`(operator, /24)`
 //!    samples for the strict filter). Accumulators merge in chunk
 //!    order, so every bucket holds its samples in record order at any
-//!    chunk length and thread count.
-//! 2. **Accept pass** — the source is streamed again and each record is
-//!    decided through the per-ASN [`AcceptTable`](crate::accept)
+//!    chunk length and thread count. The same in-order fold appends
+//!    each record's `(asn, latency_p5)` pair — the only two values
+//!    pass 2 reads — to an anonymous spill file.
+//! 2. **Accept pass** — the spill is read back in fixed blocks and each
+//!    pair is decided through the per-ASN [`AcceptTable`](crate::accept)
 //!    derived from pass 1, emitting per-operator counts plus a compact
 //!    [`AcceptBitmap`] (one bit per record) instead of the dense
 //!    vector, unless the caller opts into it via [`StreamOptions`].
@@ -26,11 +28,14 @@
 //! snapshot derives through a persistent cache, and it builds its
 //! report with the same constructor.
 //!
-//! Pass 2 re-streams `source`, so the corpus itself is never resident:
+//! The spill costs 12 bytes per record of disk under
+//! [`std::env::temp_dir`] (`TMPDIR`), ~142 MB at paper scale, and no
+//! resident memory beyond one small write buffer and one read block:
 //! peak memory is the per-bucket statistics (latency samples, not
-//! records) plus one generation wave. A caller that wants to pay
-//! generation once encodes the corpus itself ([`sno_types::codec`]) and
-//! streams the encoded chunks. Chunk-length and thread-count
+//! records) plus one generation wave. The file is unlinked as soon as
+//! it is opened, so a killed run leaves nothing behind. If any spill
+//! I/O fails, pass 2 re-streams `source` instead, and the report is
+//! byte-identical either way. Chunk-length and thread-count
 //! independence is pinned by `tests/stream_determinism.rs` at chunk
 //! sizes {1, 1024, whole} × threads {1, 2, 8}, over generated and
 //! encoded sources.
@@ -44,7 +49,10 @@ use sno_types::chunk::{self, RecordChunks};
 use sno_types::records::NdtRecord;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, RecordBatch};
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Chunk length for in-memory sources: [`Pipeline::run`]'s slice and
 /// the online identifier's replay log.
@@ -307,16 +315,34 @@ impl StreamedReport {
 }
 
 impl Pipeline {
-    /// Run all stages over a re-streamable chunked source in bounded
-    /// memory. `source` is called once per pass (statistics, then
-    /// accept) and must yield the same record stream both times —
-    /// chunked generators rebuilt from a seed satisfy this by
-    /// construction.
+    /// Run all stages over a chunked source in bounded memory.
+    /// `source` is called once: pass 1 spills the `(asn, latency)`
+    /// pairs pass 2 needs to an unlinked temp file (12 B/record of disk
+    /// under `TMPDIR`). Only if a spill I/O step fails — create, write,
+    /// read, or a pair count that differs from the records seen — is
+    /// `source` called a second time and re-streamed, so it must yield
+    /// the same record stream on every call; chunked generators rebuilt
+    /// from a seed satisfy this by construction.
     ///
     /// The report is byte-identical at any chunk length and thread
-    /// count.
+    /// count, spilled or re-streamed.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn run_streamed<C, F>(&self, source: F, opts: StreamOptions) -> StreamedReport
+    where
+        C: RecordChunks<Item = NdtRecord>,
+        F: Fn() -> C,
+    {
+        self.streamed_with_spill(source, opts, Spill::create())
+    }
+
+    /// [`Pipeline::run_streamed`] with the spill supplied, so tests can
+    /// inject a failed or broken one.
+    fn streamed_with_spill<C, F>(
+        &self,
+        source: F,
+        opts: StreamOptions,
+        spill: io::Result<Spill>,
+    ) -> StreamedReport
     where
         C: RecordChunks<Item = NdtRecord>,
         F: Fn() -> C,
@@ -329,7 +355,9 @@ impl Pipeline {
         // statistics accumulator. Chunks are mapped to per-chunk
         // partials on the worker pool and merged in chunk order on this
         // thread, so every bucket holds its samples in record order —
-        // byte-identical to the serial fold at any thread count.
+        // byte-identical to the serial fold at any thread count — and
+        // the spill holds the pairs in record order.
+        let mut spill = spill.ok();
         let mut progress = Progress::new(opts.progress_every, "stats pass");
         let stats = chunk::par_fold_chunks(
             source(),
@@ -339,10 +367,14 @@ impl Pipeline {
                 let batch = RecordBatch::from_records(chunk);
                 let mut part = CorpusStats::new();
                 part.observe_batch(&index, &batch, 0..batch.len());
-                part
+                (part, spill_pairs(&batch))
             },
-            |stats, part| {
+            |stats, (part, pairs)| {
                 progress.advance(part.records);
+                // A failed write drops the spill; pass 2 then re-streams.
+                if spill.as_mut().is_some_and(|s| s.write(&pairs).is_err()) {
+                    spill = None;
+                }
                 stats.merge(part)
             },
         );
@@ -355,11 +387,118 @@ impl Pipeline {
         let records = stats.records;
         drop(stats);
 
-        // Pass 2: re-stream the source and decide each record.
-        let pass = accept_pass(&stages.table, source(), opts, self.threads);
-        debug_assert_eq!(pass.bitmap.len(), records, "source must re-stream");
+        // Pass 2: decide each spilled pair, or re-stream the source if
+        // the spill failed anywhere.
+        let pass = spill
+            .and_then(|s| s.replay(&stages.table, records, opts).ok())
+            .unwrap_or_else(|| accept_pass(&stages.table, source(), opts, self.threads));
+        debug_assert_eq!(pass.bitmap.len(), records, "pass 2 must see every record");
         StreamedReport::assemble(mapping, stages, records, pass)
     }
+}
+
+/// Bytes per spilled record: `asn: u32` then `latency_p5.to_bits():
+/// u64`, both little-endian.
+const PAIR_LEN: usize = 12;
+
+/// Pairs per read block in the spilled accept pass.
+const SPILL_BLOCK: usize = REPLAY_CHUNK_LEN;
+
+/// Distinguishes the spills of concurrent runs in one process.
+static SPILL_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// Pass 1's `(asn, latency_p5)` pairs, in record order, on disk.
+struct Spill {
+    writer: BufWriter<File>,
+    pairs: usize,
+}
+
+impl Spill {
+    /// A fresh spill in [`std::env::temp_dir`]: created exclusively,
+    /// owner-only, and unlinked at once — the open handle keeps the
+    /// data, and nothing outlives the run.
+    fn create() -> io::Result<Spill> {
+        if !cfg!(unix) {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "an open spill file can be unlinked on Unix only",
+            ));
+        }
+        let name = format!(
+            "sno-spill-{}-{}",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+        );
+        let path = std::env::temp_dir().join(name);
+        let mut options = OpenOptions::new();
+        options.read(true).write(true).create_new(true);
+        #[cfg(unix)]
+        std::os::unix::fs::OpenOptionsExt::mode(&mut options, 0o600);
+        let file = options.open(&path)?;
+        std::fs::remove_file(&path)?;
+        Ok(Spill::from_file(file))
+    }
+
+    /// Spill into `file`, which must be open for reading and writing.
+    fn from_file(file: File) -> Spill {
+        Spill {
+            writer: BufWriter::with_capacity(8 << 10, file),
+            pairs: 0,
+        }
+    }
+
+    /// Append encoded pairs (see [`spill_pairs`]).
+    fn write(&mut self, pairs: &[u8]) -> io::Result<()> {
+        self.writer.write_all(pairs)?;
+        self.pairs += pairs.len() / PAIR_LEN;
+        Ok(())
+    }
+
+    /// The accept pass over the spilled pairs, read back in blocks of
+    /// [`SPILL_BLOCK`] pairs. Fails unless exactly `records` pairs were
+    /// spilled and all of them read back.
+    fn replay(
+        self,
+        table: &AcceptTable,
+        records: usize,
+        opts: StreamOptions,
+    ) -> io::Result<AcceptPass> {
+        if self.pairs != records {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "spilled pairs differ from the records seen",
+            ));
+        }
+        let mut file = self.writer.into_inner().map_err(|e| e.into_error())?;
+        file.seek(SeekFrom::Start(0))?;
+        let mut progress = Progress::new(opts.progress_every, "accept pass");
+        let mut pass = AcceptPass::empty(opts);
+        let mut block = vec![0; records.min(SPILL_BLOCK) * PAIR_LEN];
+        let mut remaining = records;
+        while remaining > 0 {
+            let n = remaining.min(SPILL_BLOCK);
+            block.truncate(n * PAIR_LEN);
+            file.read_exact(&mut block)?;
+            for &[a0, a1, a2, a3, ref lat @ ..] in block.as_chunks::<PAIR_LEN>().0 {
+                let asn = Asn(u32::from_le_bytes([a0, a1, a2, a3]));
+                pass.decide_into(table, asn, f64::from_bits(u64::from_le_bytes(*lat)));
+            }
+            progress.advance(n);
+            remaining -= n;
+        }
+        Ok(pass)
+    }
+}
+
+/// One batch's `(asn, latency_p5)` pairs in spill encoding: raw
+/// `to_bits`, so NaN payloads and signed zeros survive.
+fn spill_pairs(batch: &RecordBatch) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(batch.len() * PAIR_LEN);
+    for (asn, lat) in batch.asns().iter().zip(batch.latency_p5()) {
+        bytes.extend_from_slice(&asn.0.to_le_bytes());
+        bytes.extend_from_slice(&lat.to_bits().to_le_bytes());
+    }
+    bytes
 }
 
 /// Record-count heartbeat state for one streaming pass: prints to
@@ -495,8 +634,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sno_check::prelude::*;
     use sno_synth::{MlabGenerator, SynthConfig};
     use sno_types::chunk::slice_chunks;
+    use sno_types::{Ipv4, Mbps, Millis, Timestamp};
+    use std::cell::Cell;
 
     fn small_config() -> SynthConfig {
         SynthConfig {
@@ -682,5 +824,205 @@ mod tests {
             }
         }
         assert_eq!(by_op, expect);
+    }
+
+    fn all_outputs() -> StreamOptions {
+        StreamOptions {
+            dense_acceptance: true,
+            operator_latencies: true,
+            ..StreamOptions::default()
+        }
+    }
+
+    /// A file in the temp directory, unlinked once `open` has its
+    /// handle.
+    fn unlinked(tag: &str, open: impl FnOnce(&std::path::Path) -> File) -> File {
+        let path =
+            std::env::temp_dir().join(format!("sno-spill-test-{}-{tag}", std::process::id()));
+        let file = open(&path);
+        std::fs::remove_file(&path).expect("remove scratch file");
+        file
+    }
+
+    #[test]
+    fn source_is_called_once() {
+        let corpus = MlabGenerator::new(small_config()).generate();
+        let calls = Cell::new(0);
+        let report = Pipeline::with_threads(2).run_streamed(
+            || {
+                calls.set(calls.get() + 1);
+                slice_chunks(&corpus.records, 512)
+            },
+            all_outputs(),
+        );
+        assert_eq!(calls.get(), 1);
+        assert_eq!(report.records, corpus.records.len());
+        assert_eq!(report.bitmap.len(), corpus.records.len());
+    }
+
+    #[test]
+    fn spill_failure_falls_back_byte_identically() {
+        let corpus = MlabGenerator::new(small_config()).generate();
+        let pipeline = Pipeline::with_threads(2);
+        let spilled = pipeline.run_streamed(|| slice_chunks(&corpus.records, 512), all_outputs());
+        // A spill that already holds one pair more than the corpus.
+        let mut miscounted = Spill::create().expect("create spill");
+        miscounted.write(&[0; PAIR_LEN]).expect("write spill");
+        let failures: [(&str, io::Result<Spill>); 4] = [
+            ("create", Err(io::Error::other("no temp dir"))),
+            // `File::create` is write-only: the read-back fails.
+            (
+                "read",
+                Ok(Spill::from_file(unlinked("read", |p| {
+                    File::create(p).expect("create scratch file")
+                }))),
+            ),
+            // A read-only handle: the first write fails.
+            (
+                "write",
+                Ok(Spill::from_file(unlinked("write", |p| {
+                    File::create(p).expect("create scratch file");
+                    File::open(p).expect("open scratch file")
+                }))),
+            ),
+            ("count", Ok(miscounted)),
+        ];
+        for (what, spill) in failures {
+            let calls = Cell::new(0);
+            let fallback = pipeline.streamed_with_spill(
+                || {
+                    calls.set(calls.get() + 1);
+                    slice_chunks(&corpus.records, 512)
+                },
+                all_outputs(),
+                spill,
+            );
+            assert_eq!(calls.get(), 2, "{what}: the fallback re-streams");
+            assert_eq!(
+                format!("{fallback:?}"),
+                format!("{spilled:?}"),
+                "{what} failure"
+            );
+        }
+    }
+
+    #[test]
+    fn spill_leaves_nothing_in_the_temp_dir() {
+        let prefix = format!("sno-spill-{}-", std::process::id());
+        let leftovers = || -> Vec<std::ffi::OsString> {
+            std::fs::read_dir(std::env::temp_dir())
+                .expect("read temp dir")
+                .filter_map(|e| e.ok().map(|e| e.file_name()))
+                .filter(|name| name.to_string_lossy().starts_with(&prefix))
+                .collect()
+        };
+        let spill = Spill::create().expect("create spill");
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt;
+            let mode = spill.writer.get_ref().metadata().expect("stat spill");
+            assert_eq!(mode.permissions().mode() & 0o777, 0o600);
+        }
+        drop(spill);
+        let corpus = MlabGenerator::new(small_config()).generate();
+        Pipeline::new().run_streamed(|| slice_chunks(&corpus.records, 512), all_outputs());
+        // Other tests in this process spill concurrently, and their
+        // files exist for the instant between open and unlink; a leaked
+        // file is still there half a second later.
+        let mut leaked = leftovers();
+        for _ in 0..20 {
+            if leaked.is_empty() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+            let now = leftovers();
+            leaked.retain(|name| now.contains(name));
+        }
+        assert!(leaked.is_empty(), "leaked spill files: {leaked:?}");
+    }
+
+    /// Latency class `kind` drawn from `bits` and `unit` in [0, 1):
+    /// values no generator emits but a caller can feed in — NaNs with
+    /// payloads, signed zeros, infinities, subnormals, negatives — plus
+    /// ordinary values around the thresholds.
+    fn hostile_latency(kind: usize, bits: u64, unit: f64) -> f64 {
+        let sign = bits & 1 << 63;
+        match kind {
+            0 => f64::from_bits(bits | 0x7ff0_0000_0000_0001), // NaN, any payload
+            1 => f64::from_bits(sign),                         // ±0
+            2 => f64::from_bits(sign | 0x7ff0_0000_0000_0000), // ±∞
+            3 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff), // ±subnormal
+            4 => -1e6 * unit,
+            _ => 20.0 + 880.0 * unit,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The spilled accept pass equals `accept_pass` over the same
+        /// records bit for bit, hostile latencies included.
+        #[test]
+        fn spilled_pass_round_trips_hostile_latencies(
+            rows in prop::collection::vec((0..6usize, 0..7usize, any::<u64>(), 0.0..1.0f64), 1..300),
+        ) {
+            // Starlink (LEO), O3b (MEO), Hughes and Marlink (GEO), and
+            // an ASN no registry knows.
+            const ASNS: [u32; 6] = [14593, 14593, 60725, 6621, 5377, 999_999];
+            let records: Vec<NdtRecord> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, kind, bits, unit))| NdtRecord {
+                    timestamp: Timestamp(1_000 + i as u64),
+                    client: Ipv4::new(61, 0, (i % 3) as u8, 10),
+                    asn: Asn(ASNS[a]),
+                    latency_p5: Millis(hostile_latency(kind, bits, unit)),
+                    jitter_p95: Millis(1.0),
+                    retrans_fraction: 0.01,
+                    download: Mbps(10.0),
+                })
+                .collect();
+            let mapping = map_asns();
+            let latency_bits = |by_op: &Option<BTreeMap<Operator, Vec<f64>>>| {
+                by_op.as_ref().map(|m| {
+                    m.iter()
+                        .map(|(op, l)| (*op, l.iter().map(|x| x.to_bits()).collect::<Vec<_>>()))
+                        .collect::<Vec<_>>()
+                })
+            };
+            for chunk in [1usize, 7, 4096] {
+                for threads in [1usize, 2] {
+                    let pipeline = Pipeline::with_threads(threads);
+                    let spilled = pipeline.streamed_with_spill(
+                        || slice_chunks(&records, chunk),
+                        all_outputs(),
+                        Spill::create(),
+                    );
+                    let stats = CorpusStats::collect(&mapping, &records, threads);
+                    let stages = StageCache::default().derive(&pipeline, &mapping, &stats, 0);
+                    let oracle = accept_pass(
+                        &stages.table,
+                        slice_chunks(&records, chunk),
+                        all_outputs(),
+                        threads,
+                    );
+                    let at = format!("chunk {chunk} threads {threads}");
+                    prop_assert_eq!(spilled.records, records.len(), "{}", at);
+                    prop_assert_eq!(
+                        format!("{:?}", spilled.bitmap),
+                        format!("{:?}", oracle.bitmap),
+                        "{}", at
+                    );
+                    prop_assert_eq!(&spilled.accepted, &oracle.dense, "{}", at);
+                    prop_assert_eq!(
+                        latency_bits(&spilled.latencies_by_operator),
+                        latency_bits(&oracle.latencies),
+                        "{}", at
+                    );
+                    let counts: BTreeMap<Operator, u64> = spilled.catalog.iter().copied().collect();
+                    prop_assert_eq!(counts, oracle.counts, "{}", at);
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! Compact binary corpus format: length-prefixed little-endian record
 //! frames behind a versioned header.
 //!
-//! The two-pass streamed pipeline re-streams its source once per pass;
-//! when the source is a generator, the second pass pays full generation
-//! again. Encoding the first pass's chunks into an in-memory byte
-//! buffer turns the second pass into a replay: ~52 bytes per record,
-//! decoded back bit-for-bit (floats travel as raw IEEE-754 bits, so
-//! even NaN payloads survive).
+//! The streamed pipeline generates its source once and spills only the
+//! 12 bytes per record its accept pass reads to a temp file under
+//! `TMPDIR` (~142 MB at paper scale). This format holds whole records:
+//! ~52 bytes each, decoded back bit-for-bit (floats travel as raw
+//! IEEE-754 bits, so even NaN payloads survive), for callers that keep
+//! a corpus to replay it, such as the online identifier's replay log
+//! and the benchmark's pre-encoded corpus.
 //!
 //! Wire layout, all integers little-endian:
 //!
