@@ -133,19 +133,22 @@ run memory-gate bash -c \
 # spill under TMPDIR), parallel two-pass identification, heartbeats for
 # liveness — under a wall-clock budget (timeout) and an address-space
 # ceiling sized at ~2x the measured run (see README "CI gates" for the
-# numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured 39 s wall on a
-# 2-vCPU box, where generating the corpus once per pass took 67 s and
-# before the generator fast path 103 s; 33 MiB address-space peak,
-# 16 MiB resident, 14 MB of spill). The 200 s budget keeps ~5x
-# headroom over that run. Nightly runs the full paper volume (measured
-# 364 s wall, 103 MiB resident, 159 MiB address-space peak and a
-# 142 MB spill; 1107 s / 278 MB before the generator fast path) with
-#   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=1800 SNO_CI_ULIMIT_KB=573440 ./ci.sh
+# numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured 28 s wall on a
+# 2-vCPU box, 33 s before the bound-first constellation scan, 39 s
+# when measured after generate-once, 67 s when the corpus was
+# generated once per pass and 103 s before the generator fast path;
+# 33 MiB address-space peak, 16 MiB resident, 14 MB of spill). The
+# 140 s budget keeps ~5x headroom over that run. Nightly runs the full
+# paper volume (measured 288 s wall, 103 MiB resident, 159 MiB
+# address-space peak and a 142 MB spill; 364 s before the bound-first
+# scan, 1107 s / 278 MB before the generator fast path) with a ceiling
+# of ~2x that address-space peak and a budget of ~5x that wall time:
+#   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=1440 SNO_CI_ULIMIT_KB=325632 ./ci.sh
 # MALLOC_ARENA_MAX=1 as in the memory gate: with per-thread arenas the
 # two-thread run reserves ~338 MiB of address space, and the ceiling
 # then fails whichever allocation loses the race for it.
 SNO_CI_SCALE="${SNO_CI_SCALE:-1e-1}"
-SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-200}"
+SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-140}"
 SNO_CI_ULIMIT_KB="${SNO_CI_ULIMIT_KB:-81920}"
 run paper-scale-gate bash -c \
     "ulimit -v ${SNO_CI_ULIMIT_KB}; MALLOC_ARENA_MAX=1 exec timeout ${SNO_CI_BUDGET_S} \

@@ -129,33 +129,31 @@ impl TcpStats {
         self.rtt_summary().1
     }
 
-    /// Both per-session RTT reductions, `(latency_p5, jitter_p95)`,
-    /// from one sorted copy of the polls.
+    /// Both per-session RTT reductions, `(latency_p5, jitter_p95)`.
     ///
-    /// Subtracting the session minimum is monotone on finite polls
-    /// (also across ±0.0 under `total_cmp`), so the sorted polls minus
-    /// the minimum are the sorted excursions, and both quantiles are
+    /// Each quantile interpolates between two order statistics of the
+    /// polls, found by selection on `f64::total_cmp`-order integer keys
+    /// (equal keys are equal bits) instead of a sort. Subtracting the
+    /// session minimum is monotone on finite polls (also across ±0.0
+    /// under `total_cmp`), so the order statistics of the polls minus
+    /// the minimum are those of the excursions, and both quantiles are
     /// bit for bit those of sorting each series on its own. The polls
     /// are finite: each is at least half a finite base RTT.
     pub fn rtt_summary(&self) -> (Option<Millis>, Option<Millis>) {
-        if self.rtt_samples.is_empty() {
+        let n = self.rtt_samples.len();
+        if n == 0 {
             return (None, None);
         }
         debug_assert!(self.rtt_samples.iter().all(|x| !x.is_nan()), "NaN RTT poll");
-        // Sorted in `f64::total_cmp` order, as integer keys: an integer
-        // sort is about twice as fast, and equal keys are equal bits.
         let mut keys: Vec<i64> = self
             .rtt_samples
             .iter()
             .map(|x| total_order_key(x.to_bits() as i64))
             .collect();
-        keys.sort_unstable();
-        let mut sorted: Vec<f64> = keys
-            .into_iter()
-            .map(|k| f64::from_bits(total_order_key(k) as u64))
-            .collect();
-        let latency = Millis(sno_stats::quantile_of_sorted(&sorted, 0.05));
-        if sorted.len() < 2 {
+        let p5 = sno_stats::QuantileRanks::new(n, 0.05);
+        let (lo, hi) = order_stats(&mut keys, p5.lo(), p5.hi());
+        let latency = Millis(p5.interpolate(lo, hi));
+        if n < 2 {
             return (Some(latency), None);
         }
         let floor = self
@@ -163,10 +161,11 @@ impl TcpStats {
             .iter()
             .cloned()
             .fold(f64::INFINITY, f64::min);
-        for r in &mut sorted {
-            *r -= floor;
-        }
-        let jitter = Millis(sno_stats::quantile_of_sorted(&sorted, 0.95));
+        // p95's ranks are at or above p5's lower rank, and the selection
+        // left exactly the keys of that rank and up in `keys[p5.lo()..]`.
+        let p95 = sno_stats::QuantileRanks::new(n, 0.95);
+        let (lo, hi) = order_stats(&mut keys[p5.lo()..], p95.lo() - p5.lo(), p95.hi() - p5.lo());
+        let jitter = Millis(p95.interpolate(lo - floor, hi - floor));
         (Some(latency), Some(jitter))
     }
 
@@ -193,6 +192,21 @@ impl TcpStats {
 /// Applied twice it gives back the bits.
 fn total_order_key(bits: i64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The floats of ranks `lo` and `hi` (`hi` is `lo` or `lo + 1`) among
+/// `keys`, by one selection and, for `hi`, the minimum of the keys the
+/// selection left above `lo`. Leaves `keys[lo..]` holding the keys of
+/// rank `lo` and up.
+fn order_stats(keys: &mut [i64], lo: usize, hi: usize) -> (f64, f64) {
+    let (_, &mut lo_key, above) = keys.select_nth_unstable(lo);
+    let hi_key = if hi > lo {
+        above.iter().copied().fold(i64::MAX, i64::min)
+    } else {
+        lo_key
+    };
+    let value = |key: i64| f64::from_bits(total_order_key(key) as u64);
+    (value(lo_key), value(hi_key))
 }
 
 /// A runnable TCP flow.
@@ -435,6 +449,48 @@ mod tests {
                 copy_and_sort_oracle(polls),
                 "{polls:?}"
             );
+        }
+    }
+
+    #[test]
+    fn rtt_summary_matches_oracle_where_ranks_coincide() {
+        // At n = 21, 41 and 101 both 0.05·(n − 1) and 0.95·(n − 1) are
+        // integers, so each quantile reads one rank (`lo == hi`). At
+        // n = 1 there is no jitter, and at n = 2 both quantiles read the
+        // same two polls.
+        let mut rng = Rng::new(0xED6E);
+        for n in [1usize, 2, 21, 41, 101] {
+            let mut series: Vec<Vec<f64>> = vec![
+                vec![7.5; n],
+                vec![0.0; n],
+                vec![-0.0; n],
+                (0..n)
+                    .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+                (0..n)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            ];
+            for _ in 0..50 {
+                series.push(
+                    (0..n)
+                        .map(|_| match rng.below(4) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => rng.below(3) as f64,
+                            _ => rng.range_f64(-50.0, 50.0),
+                        })
+                        .collect(),
+                );
+                series.push((0..n).map(|_| 20.0 + rng.range_f64(0.0, 80.0)).collect());
+            }
+            for polls in &series {
+                assert_eq!(
+                    summary_bits(polls),
+                    copy_and_sort_oracle(polls),
+                    "{polls:?}"
+                );
+            }
         }
     }
 

@@ -122,9 +122,13 @@ impl Shell {
     /// a surviving plane the dot product ô·pos(u) is sinusoidal in the
     /// argument of latitude, so the plane's best satellite is the
     /// sample nearest its peak — only that sample, and a neighbour when
-    /// the peak lies near half-way to it, are evaluated. For Starlink's
-    /// 72×22 shell at the 25° user mask, ~17 of the 72 planes pass the
-    /// plane test, so ~19 of the 1,584 satellites are evaluated.
+    /// the peak lies near half-way to it, are evaluated. The plane
+    /// nearest the observer goes first, and a later plane whose nearest
+    /// approach cannot match a satellite already found is skipped too.
+    /// For Starlink's 72×22 shell at the 25° user mask and mid-latitude
+    /// users, ~15 of the 72 planes pass the plane test, ~5 of them
+    /// survive the second bound, and ~5 of the 1,584 satellites are
+    /// evaluated.
     pub fn best_visible(
         &self,
         observer: Vec3,
@@ -153,11 +157,13 @@ impl Shell {
         min_elevation_deg: f64,
     ) -> Option<(Visibility, Vec3)> {
         let mut best: Option<(Visibility, Vec3)> = None;
+        // The scan visits one plane out of order, so a tie goes to the
+        // lower plane: the satellite a scan in plane order keeps.
         self.scan(observer, t_secs, min_elevation_deg, |vis, sat| {
-            if best
-                .as_ref()
-                .is_none_or(|(b, _)| vis.elevation_deg > b.elevation_deg)
-            {
+            if best.as_ref().is_none_or(|(b, _)| {
+                vis.elevation_deg > b.elevation_deg
+                    || (vis.elevation_deg == b.elevation_deg && vis.plane < b.plane)
+            }) {
                 best = Some((vis, sat));
             }
             ControlFlow::Continue(())
@@ -165,16 +171,67 @@ impl Shell {
         best
     }
 
+    /// n̂·ô for every plane in order, approximately: the ascending nodes
+    /// are evenly spaced, so their `(sin, cos)` follow a rotation
+    /// recurrence seeded by one `sin_cos`, instead of one `sin_cos` per
+    /// plane. Off by at most [`Shell::normal_guard`] from the exact
+    /// `n_dot` of [`Shell::scan`].
+    fn approx_normals(
+        &self,
+        o: Vec3,
+        node_drift: f64,
+        sin_i: f64,
+        cos_i: f64,
+    ) -> impl Iterator<Item = (u32, f64)> {
+        let (step_sin, step_cos) = (TAU / f64::from(self.planes)).sin_cos();
+        let (mut sin_raan, mut cos_raan) = (-node_drift).sin_cos();
+        (0..self.planes).map(move |plane| {
+            let n_dot = o.x * sin_raan * sin_i - o.y * cos_raan * sin_i + o.z * cos_i;
+            (sin_raan, cos_raan) = (
+                sin_raan * step_cos + cos_raan * step_sin,
+                cos_raan * step_cos - sin_raan * step_sin,
+            );
+            (plane, n_dot)
+        })
+    }
+
+    /// Bound on the error of [`Shell::approx_normals`] against the exact
+    /// `n_dot`. With ε = f64::EPSILON and P planes:
+    /// - the exact node `TAU·p/P − node_drift` rounds to within
+    ///   ε/2·(|node_drift| + 2π) + 3ε·2π of the real angle, and the
+    ///   recurrence starts at plane 0's node, which is −node_drift
+    ///   exactly;
+    /// - the step `TAU/P` and its `sin_cos` are each off by at most ε
+    ///   relatively, so P steps drift by at most (2π + P)·ε;
+    /// - each step rounds each component by at most 3√2·ε, and a
+    ///   rotation carries earlier errors along unchanged in size;
+    /// - n̂·ô weights the (sin, cos) errors by sin i·(|ô.x| + |ô.y|) ≤ √2,
+    ///   and its own evaluation, in both versions, by ≤ 8ε.
+    ///
+    /// That sums to under (0.71·|node_drift| + 7.5·P + 40)·ε. The bound
+    /// is twice that. It needs no lower bound on ô's equatorial
+    /// projection, so it holds for observers at the poles too.
+    fn normal_guard(&self, node_drift: f64) -> f64 {
+        2.0 * f64::EPSILON * (node_drift.abs() + 8.0 * f64::from(self.planes) + 64.0)
+    }
+
     /// The pruned search both [`Shell::best_visible`] and
-    /// [`Shell::covers`] run: hands every evaluated satellite that clears
-    /// the mask to `visit`, with its ECEF position, in plane then
-    /// candidate order, until `visit` breaks. Returns whether it broke.
+    /// [`Shell::covers`] run: hands evaluated satellites that clear the
+    /// mask to `visit`, with their ECEF positions, until `visit` breaks.
+    /// Returns whether it broke.
+    ///
+    /// The plane whose normal is most nearly perpendicular to the
+    /// observer (smallest |n̂·ô|) is searched first, then the others in
+    /// plane order. A plane is skipped when no satellite on it can reach
+    /// the elevation of one already visited (it could neither beat nor
+    /// tie it), so `visit` sees every satellite that can be the best but
+    /// not every satellite above the mask.
     ///
     /// The shell-wide and per-plane terms of [`Shell::sat_position`] and
     /// `vec3::elevation_deg` are hoisted out of the loops, but every
-    /// value is the same float expression evaluated in the same order,
-    /// so positions, elevations and slants are bit for bit those of the
-    /// per-satellite functions.
+    /// value handed to `visit` is the same float expression evaluated in
+    /// the same order, so positions, elevations and slants are bit for
+    /// bit those of the per-satellite functions.
     fn scan(
         &self,
         observer: Vec3,
@@ -198,7 +255,40 @@ impl Shell {
         let node_drift = EARTH_ROTATION_RAD_S * t_secs;
         let (sin_i, cos_i) = self.inclination_deg.to_radians().sin_cos();
         let s = f64::from(self.sats_per_plane);
-        for plane in 0..self.planes {
+        let normal_guard = self.normal_guard(node_drift);
+        let approx_normals = || self.approx_normals(o, node_drift, sin_i, cos_i);
+        let Some(first) = approx_normals().min_by(|x, y| x.1.abs().total_cmp(&y.1.abs())) else {
+            return false;
+        };
+        // Highest ô·sat/a of the satellites visited so far.
+        let mut best_dot = f64::NEG_INFINITY;
+        let order =
+            std::iter::once(first).chain(approx_normals().filter(|&(plane, _)| plane != first.0));
+        for (plane, approx_n_dot) in order {
+            if approx_n_dot.abs() > sin_psi_max + normal_guard {
+                continue;
+            }
+            // Every satellite of the plane lies on the great circle with
+            // normal n̂, so its ô·sat/a is at most √(1 − (n̂·ô)²) (plus a
+            // few ε for the rounding of `sat` off that circle), taking
+            // the smallest |n̂·ô| the guard allows. A satellite whose
+            // ô·sat/a is lower by δ has a central angle ψ larger by at
+            // least δ (|d cos ψ/dψ| ≤ 1), and so an elevation lower by
+            // at least δ/2 radians: with r the observer's radius and d
+            // the slant, elevation falls with ψ at the rate
+            // a·(a − r·cos ψ)/d², which is at least a/(a + r) > 1/2 (its
+            // value at ψ = π), and at least 1 above the horizon
+            // (cos ψ ≥ r/a). The computed elevation's error is at
+            // most ~7·10⁻⁸ rad (`asin` of a sine with ~10ε of error,
+            // worst at the zenith), and ô·sat/a is off by ~10ε, so
+            // DOT_GUARD = 10⁻⁶ leaves a skipped plane's satellites
+            // strictly below the visited one's computed elevation: they
+            // can neither win nor tie.
+            const DOT_GUARD: f64 = 1e-6;
+            let n_floor = (approx_n_dot.abs() - normal_guard).max(0.0);
+            if (1.0 - n_floor * n_floor).sqrt() < best_dot - DOT_GUARD {
+                continue;
+            }
             let raan = TAU * f64::from(plane) / f64::from(self.planes) - node_drift;
             let (sin_raan, cos_raan) = raan.sin_cos();
             // Unit normal of the orbit plane in ECEF.
@@ -244,6 +334,7 @@ impl Shell {
                 if elevation_deg < min_elevation_deg {
                     continue;
                 }
+                best_dot = best_dot.max(o.dot(sat) / a);
                 let vis = Visibility {
                     plane,
                     index,
@@ -404,20 +495,57 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The pruned search matches the full scan at random observers,
-        /// corpus-era times and masks, not only on the fixed grid.
+        /// times and masks, not only on the fixed grid: also within 0.5°
+        /// of either pole, where every plane normal is nearly equally far
+        /// from the observer, and at times up to 10¹⁰ s, where the node
+        /// recurrence starts from a seed ~7·10⁵ rad from zero.
         #[test]
         fn pruned_search_matches_full_scan_anywhere(
-            lat in -89.0..89.0f64,
+            lat in prop_oneof![-89.0..89.0f64, 89.5..=90.0f64, -90.0..=-89.5f64],
             lon in -180.0..180.0f64,
-            t in 0.0..2e9f64,
+            t in prop_oneof![0.0..2e9f64, 0.0..1e10f64],
             mask in 5.0..60.0f64,
         ) {
+            let (lat, t) = (*lat, *t);
             let obs = ecef_of(GeoPoint::new(lat, lon));
             for shell in [STARLINK_SHELL, ONEWEB_SHELL] {
                 prop_assert_eq!(
                     shell.best_visible(obs, t, mask),
                     best_visible_scan(&shell, obs, t, mask)
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The node recurrence stays within half its guard of the exact
+        /// per-plane `n_dot`, for every plane of both shells, at the poles
+        /// and at times up to 10¹⁰ s.
+        #[test]
+        fn approx_normals_stay_within_half_the_guard(
+            lat in prop_oneof![-89.0..89.0f64, 89.5..=90.0f64, -90.0..=-89.5f64],
+            lon in -180.0..180.0f64,
+            t in prop_oneof![0.0..2e9f64, 0.0..1e10f64],
+        ) {
+            let o = ecef_of(GeoPoint::new(*lat, lon)).unit();
+            let node_drift = EARTH_ROTATION_RAD_S * *t;
+            for shell in [STARLINK_SHELL, ONEWEB_SHELL] {
+                let (sin_i, cos_i) = shell.inclination_deg.to_radians().sin_cos();
+                let half_guard = shell.normal_guard(node_drift) / 2.0;
+                for (plane, approx) in shell.approx_normals(o, node_drift, sin_i, cos_i) {
+                    let raan = TAU * f64::from(plane) / f64::from(shell.planes) - node_drift;
+                    let (sin_raan, cos_raan) = raan.sin_cos();
+                    let exact = o.x * sin_raan * sin_i - o.y * cos_raan * sin_i + o.z * cos_i;
+                    prop_assert!(
+                        (approx - exact).abs() <= half_guard,
+                        "plane {} error {:e} half guard {:e}",
+                        plane,
+                        (approx - exact).abs(),
+                        half_guard
+                    );
+                }
             }
         }
     }

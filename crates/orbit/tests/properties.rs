@@ -65,14 +65,16 @@ proptest! {
     }
 
     /// The early-exit coverage scan answers exactly what the full
-    /// best-satellite scan answers, for both shells and the bent pipe.
+    /// best-satellite scan answers, for both shells and the bent pipe,
+    /// also within 0.5° of either pole and at times up to 10¹⁰ s.
     #[test]
     fn covers_agrees_with_best_visible(
-        lat in -89.0..89.0f64,
+        lat in prop_oneof![-89.0..89.0f64, 89.5..=90.0f64, -90.0..=-89.5f64],
         lon in -180.0..180.0f64,
-        t in 0.0..2e9f64,
+        t in prop_oneof![0.0..2e9f64, 0.0..1e10f64],
         mask in 5.0..60.0f64,
     ) {
+        let (lat, t) = (*lat, *t);
         let obs = ecef_of(GeoPoint::new(lat, lon));
         for shell in [STARLINK_SHELL, ONEWEB_SHELL] {
             prop_assert_eq!(

@@ -29,7 +29,7 @@ pub use changepoint::{detect_mean_shifts, Shift};
 pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use kde::Kde;
-pub use quantile::{median, quantile, quantile_of_sorted};
+pub use quantile::{median, quantile, quantile_of_sorted, QuantileRanks};
 pub use sketch::{OnlineShiftDetector, QuantileSketch, RunningMoments};
 pub use summary::FiveNumber;
 pub use timeseries::{daily_medians, DailyPoint};

@@ -22,20 +22,68 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
 /// Panics if `sorted` is empty or `q` is outside `[0, 1]` (callers are
 /// expected to validate; [`quantile`] is the forgiving entry point).
 pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
-    assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile fraction out of range: {q}"
-    );
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
+    let ranks = QuantileRanks::new(sorted.len(), q);
+    ranks.interpolate(sorted[ranks.lo()], sorted[ranks.hi()])
+}
+
+/// The two ranks [`quantile_of_sorted`] reads for the `q`-quantile of
+/// `n` sorted values, and its interpolation between them: a caller that
+/// finds the two order statistics without sorting (by selection) gets
+/// the same bits.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantileRanks {
+    lo: usize,
+    /// `lo` or `lo + 1`.
+    hi: usize,
+    /// Weight of the upper rank; `None` for a single value, which is
+    /// the quantile as it is.
+    frac: Option<f64>,
+}
+
+impl QuantileRanks {
+    /// The ranks of the `q`-quantile of `n` values.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero or `q` is outside `[0, 1]`.
+    pub fn new(n: usize, q: f64) -> QuantileRanks {
+        assert!(n > 0, "quantile of empty slice");
+        assert!(
+            (0.0..=1.0).contains(&q),
+            "quantile fraction out of range: {q}"
+        );
+        if n == 1 {
+            return QuantileRanks {
+                lo: 0,
+                hi: 0,
+                frac: None,
+            };
+        }
+        let pos = q * (n - 1) as f64;
+        let lo = pos.floor() as usize;
+        QuantileRanks {
+            lo,
+            hi: pos.ceil() as usize,
+            frac: Some(pos - lo as f64),
+        }
     }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+
+    /// The lower rank.
+    pub fn lo(&self) -> usize {
+        self.lo
+    }
+
+    /// The upper rank: `lo()` or `lo() + 1`.
+    pub fn hi(&self) -> usize {
+        self.hi
+    }
+
+    /// The quantile from the values at ranks `lo()` and `hi()`.
+    pub fn interpolate(&self, lo: f64, hi: f64) -> f64 {
+        match self.frac {
+            None => lo,
+            Some(frac) => lo + (hi - lo) * frac,
+        }
+    }
 }
 
 /// The median of `data` (unsorted). `None` on empty input.

@@ -25,6 +25,7 @@ use sno_types::par;
 use sno_types::time::SECS_PER_DAY;
 use sno_types::{Asn, Kilometers, LinkKind, Operator, OrbitClass, Rng, UtcDay};
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// Metro areas hosting NDT measurement servers. The client's flow exits
 /// the operator's network at its egress and rides ordinary transit to
@@ -118,15 +119,80 @@ pub const MLAB_SITES: &[GeoPoint] = &[
 ];
 
 /// Nearest point of `candidates` to `from`: the first of the closest
-/// under `total_cmp`, one haversine per candidate.
+/// under `total_cmp` of `haversine_km`.
 pub fn nearest(from: GeoPoint, candidates: &[GeoPoint]) -> GeoPoint {
-    candidates
-        .iter()
-        .map(|&c| (haversine_km(from, c).0, c))
-        .min_by(|a, b| a.0.total_cmp(&b.0))
+    nearest_site(Site::new(from), candidates.iter().map(|&c| Site::new(c))).0
+}
+
+/// A surface point with its unit vector from the Earth's centre.
+#[derive(Clone, Copy)]
+struct Site {
+    point: GeoPoint,
+    unit: [f64; 3],
+}
+
+impl Site {
+    fn new(point: GeoPoint) -> Site {
+        let (sin_lat, cos_lat) = point.lat.to_radians().sin_cos();
+        let (sin_lon, cos_lon) = point.lon.to_radians().sin_cos();
+        Site {
+            point,
+            unit: [cos_lat * cos_lon, cos_lat * sin_lon, sin_lat],
+        }
+    }
+
+    /// Cosine of the central angle to `other`.
+    fn dot(&self, other: &Site) -> f64 {
+        self.unit[0] * other.unit[0] + self.unit[1] * other.unit[1] + self.unit[2] * other.unit[2]
+    }
+}
+
+/// [`MLAB_SITES`] with their unit vectors, built once.
+fn mlab_sites() -> &'static [Site] {
+    static SITES: OnceLock<Vec<Site>> = OnceLock::new();
+    SITES.get_or_init(|| MLAB_SITES.iter().map(|&p| Site::new(p)).collect())
+}
+
+/// `egress_of(op)` with their unit vectors, built once for every
+/// operator.
+fn egress_sites(op: Operator) -> &'static [Site] {
+    static SITES: OnceLock<Vec<Vec<Site>>> = OnceLock::new();
+    &SITES.get_or_init(|| {
+        Operator::ALL
+            .iter()
+            .map(|&op| egress_of(op).iter().map(|&p| Site::new(p)).collect())
+            .collect()
+    })[op.index()]
+}
+
+/// The point of `sites` nearest to `from` and its `haversine_km`
+/// distance: the first of the closest under `total_cmp`, as a
+/// `min_by` over every site's haversine picks it, but with the
+/// haversine computed only for the sites whose unit-vector dot product
+/// is within `DOT_GUARD` of the best one.
+///
+/// A site whose dot product is lower by δ is further by a central angle
+/// of at least δ (|d cos θ/dθ| ≤ 1). The dot products are off by a few
+/// ε = f64::EPSILON, and the haversine's angle by at most ~6·10⁻⁸ rad,
+/// worst near the antipode where `asin` of a square root near 1 turns
+/// ~4ε of error in `h` into 2·√(4ε). So with DOT_GUARD = 10⁻⁶ a skipped
+/// site's haversine is strictly larger than the best-dot site's: it can
+/// neither be the closest nor tie it.
+///
+/// # Panics
+/// Panics when `sites` is empty.
+fn nearest_site(from: Site, sites: impl Iterator<Item = Site> + Clone) -> (GeoPoint, f64) {
+    const DOT_GUARD: f64 = 1e-6;
+    let best_dot = sites
+        .clone()
+        .map(|site| from.dot(&site))
+        .fold(f64::NEG_INFINITY, f64::max);
+    sites
+        .filter(|site| from.dot(site) >= best_dot - DOT_GUARD)
+        .map(|site| (site.point, haversine_km(from.point, site.point).0))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         // sno-lint: allow(unwrap-in-lib): callers pass the static gateway/PoP tables, never empty
         .expect("non-empty candidate list")
-        .1
 }
 
 /// The satellite (or wire) segment of a session path.
@@ -232,9 +298,10 @@ impl ClientPath {
         corpus_seed: u64,
         rng: &mut Rng,
     ) -> Option<ClientPath> {
-        let server = nearest(client, MLAB_SITES);
+        let client = Site::new(client);
+        let (server, _) = nearest_site(client, mlab_sites().iter().copied());
         match kind {
-            LinkKind::Terrestrial => Some(ClientPath::terrestrial(client, server, rng)),
+            LinkKind::Terrestrial => Some(ClientPath::terrestrial(client.point, server, rng)),
             LinkKind::HybridBackup(orbit) => {
                 // Three regimes: healthy fibre, degraded DSL, satellite
                 // backup — the three latency clusters of Figure 3b. The
@@ -243,9 +310,9 @@ impl ClientPath {
                 // below 70 ms).
                 let draw = rng.f64();
                 if draw < 0.30 {
-                    Some(ClientPath::terrestrial(client, server, rng))
+                    Some(ClientPath::terrestrial(client.point, server, rng))
                 } else if draw < 0.45 {
-                    Some(ClientPath::degraded_dsl(client, server, rng))
+                    Some(ClientPath::degraded_dsl(client.point, server, rng))
                 } else {
                     ClientPath::satellite(op, orbit, client, server, day, corpus_seed, rng)
                 }
@@ -288,7 +355,7 @@ impl ClientPath {
     fn satellite(
         op: Operator,
         orbit: OrbitClass,
-        client: GeoPoint,
+        site: Site,
         server: GeoPoint,
         day: UtcDay,
         corpus_seed: u64,
@@ -296,8 +363,8 @@ impl ClientPath {
     ) -> Option<ClientPath> {
         let quality = link_quality(op, orbit);
         let plan = service_plan_of(op);
-        let egresses = egress_of(op);
-        let egress = nearest(client, egresses);
+        let client = site.point;
+        let (egress, egress_km) = nearest_site(site, egress_sites(op).iter().copied());
         let day_factor = daily_wander_factor(op, day, corpus_seed, quality);
         // Session overhead: uplink scheduling (lognormal around the
         // operator median, scaled by the day's condition) plus the
@@ -322,7 +389,7 @@ impl ClientPath {
                 // networks are dense); backhaul gateway → egress is part
                 // of the overhead via `tail` only when the egress is the
                 // serving PoP, so add the extra hop here.
-                let gw = if haversine_km(client, egress).0 > 1_500.0 {
+                let gw = if egress_km > 1_500.0 {
                     // No nearby egress: gateway lands near the client and
                     // traffic backhauls over fibre (OneWeb's US-only
                     // egress; Starlink Philippines → Tokyo).
@@ -801,5 +868,82 @@ mod tests {
             spread(Operator::Hughes, OrbitClass::Geo)
                 > 5.0 * spread(Operator::Starlink, OrbitClass::Leo)
         );
+    }
+
+    /// The plain nearest-site search the dot-product bound replaced,
+    /// kept as its oracle: one haversine per site, the first of the
+    /// closest under `total_cmp`.
+    fn haversine_oracle(from: GeoPoint, sites: &[GeoPoint]) -> (GeoPoint, f64) {
+        sites
+            .iter()
+            .map(|&c| (c, haversine_km(from, c).0))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap()
+    }
+
+    fn bits(p: GeoPoint) -> (u64, u64) {
+        (p.lat.to_bits(), p.lon.to_bits())
+    }
+
+    /// Every site table the generator searches, with its unit vectors.
+    fn tables() -> Vec<(&'static [GeoPoint], &'static [Site])> {
+        std::iter::once((MLAB_SITES, mlab_sites()))
+            .chain(
+                Operator::ALL
+                    .iter()
+                    .map(|&op| (egress_of(op), egress_sites(op))),
+            )
+            .collect()
+    }
+
+    /// The static-table search (and, with `public`, also `nearest`)
+    /// picks the oracle's point bit for bit, and its distance is the
+    /// oracle's haversine.
+    fn assert_nearest_matches(from: GeoPoint, sites: &[GeoPoint], units: &[Site], public: bool) {
+        let (point, km) = haversine_oracle(from, sites);
+        if public {
+            assert_eq!(bits(nearest(from, sites)), bits(point), "{from:?}");
+        }
+        let (fast, fast_km) = nearest_site(Site::new(from), units.iter().copied());
+        assert_eq!(bits(fast), bits(point), "{from:?}");
+        assert_eq!(fast_km.to_bits(), km.to_bits(), "{from:?}");
+    }
+
+    #[test]
+    fn nearest_site_matches_haversine_oracle_at_random_clients() {
+        let tables = tables();
+        let mut rng = Rng::new(0x5175);
+        for i in 0..100_000 {
+            let from = GeoPoint::new(rng.range_f64(-89.0, 89.0), rng.range_f64(-180.0, 180.0));
+            for &(sites, units) in &tables {
+                // `nearest` builds its unit vectors per call; checking it
+                // at every eighth client keeps the debug run short.
+                assert_nearest_matches(from, sites, units, i % 8 == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_site_matches_haversine_oracle_at_near_ties() {
+        for (sites, units) in tables() {
+            for (i, a) in units.iter().enumerate() {
+                // A site itself, then the great-circle midpoint of it and
+                // every later site: two (or more) sites at nearly equal
+                // distances.
+                assert_nearest_matches(a.point, sites, units, true);
+                for b in &units[i + 1..] {
+                    let sum: [f64; 3] = std::array::from_fn(|k| a.unit[k] + b.unit[k]);
+                    let norm = sum.iter().map(|x| x * x).sum::<f64>().sqrt();
+                    if norm < 1e-9 {
+                        continue; // antipodal: no unique midpoint
+                    }
+                    let mid = GeoPoint {
+                        lat: (sum[2] / norm).clamp(-1.0, 1.0).asin().to_degrees(),
+                        lon: sum[1].atan2(sum[0]).to_degrees(),
+                    };
+                    assert_nearest_matches(mid, sites, units, true);
+                }
+            }
+        }
     }
 }
